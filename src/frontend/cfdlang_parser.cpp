@@ -212,6 +212,14 @@ private:
       auto dims = dims_of(*e);
       if (perm.size() != dims.size())
         return Error::invalid_argument("cfdlang: transpose perm rank mismatch");
+      std::vector<bool> seen(dims.size(), false);
+      for (std::int64_t d : perm) {
+        if (d < 0 || static_cast<std::size_t>(d) >= dims.size() ||
+            seen[static_cast<std::size_t>(d)])
+          return Error::invalid_argument(
+              "cfdlang: transpose perm must be a permutation of [0, rank)");
+        seen[static_cast<std::size_t>(d)] = true;
+      }
       std::vector<std::int64_t> out(dims.size());
       for (std::size_t d = 0; d < perm.size(); ++d)
         out[d] = dims[static_cast<std::size_t>(perm[d])];

@@ -1,5 +1,6 @@
 #include "runtime/dfg_executor.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -195,8 +196,15 @@ Expected<std::map<std::string, Stream>> execute_dfg(
           return Error::make("dfg exec: stream length mismatch at node '" +
                              op.attr_string("callee") + "'");
       }
+      // Reserved up front: `aligned` points into broadcast_storage, so it
+      // must never reallocate. Nodes without broadcast operands allocate
+      // nothing here.
       std::vector<Stream> broadcast_storage;
       std::vector<const Stream *> aligned = args;
+      if (count > 1)
+        broadcast_storage.reserve(static_cast<std::size_t>(std::count_if(
+            args.begin(), args.end(),
+            [](const Stream *s) { return s->size() == 1; })));
       for (auto &s : aligned) {
         if (s->size() == 1 && count > 1) {
           broadcast_storage.emplace_back(count, (*s)[0]);

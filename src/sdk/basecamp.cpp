@@ -92,7 +92,7 @@ Expected<CompileResult> Basecamp::compile_ekl(
       auto hit = timed(recorder_, timings, "cache-lookup",
                        [&] { return cache_->lookup(direct->key); });
       if (hit) {
-        std::shared_ptr<ir::Module> frontend_ir = direct->frontend;
+        std::shared_ptr<const ir::Module> frontend_ir = direct->frontend;
         if (!frontend_ir) {
           auto reparsed = timed(recorder_, timings, "parse-ekl",
                                 [&] { return frontend::parse_ekl(source); });
@@ -140,7 +140,7 @@ Expected<CompileResult> Basecamp::compile_cfdlang(const std::string &source,
       auto hit = timed(recorder_, timings, "cache-lookup",
                        [&] { return cache_->lookup(direct->key); });
       if (hit) {
-        std::shared_ptr<ir::Module> frontend_ir = direct->frontend;
+        std::shared_ptr<const ir::Module> frontend_ir = direct->frontend;
         if (!frontend_ir) {
           auto reparsed =
               timed(recorder_, timings, "parse-cfdlang",
@@ -208,7 +208,7 @@ void Basecamp::attach_cache(CompileCache *cache) {
 }
 
 Expected<CompileResult> Basecamp::result_from_cache(
-    std::shared_ptr<ir::Module> frontend_ir, CompileCacheEntry entry,
+    std::shared_ptr<const ir::Module> frontend_ir, CompileCacheEntry entry,
     const CompileOptions &options, std::vector<StageTiming> timings) const {
   CompileResult result;
   result.frontend_ir = std::move(frontend_ir);
@@ -228,11 +228,10 @@ Expected<CompileResult> Basecamp::result_from_cache(
   return result;
 }
 
-Expected<CompileResult> Basecamp::backend(std::shared_ptr<ir::Module> frontend_ir,
-                                          std::shared_ptr<ir::Module> teil_ir,
-                                          const CompileOptions &options,
-                                          std::vector<StageTiming> timings,
-                                          const std::string &direct_fingerprint) {
+Expected<CompileResult> Basecamp::backend(
+    std::shared_ptr<const ir::Module> frontend_ir,
+    std::shared_ptr<ir::Module> teil_ir, const CompileOptions &options,
+    std::vector<StageTiming> timings, const std::string &direct_fingerprint) {
   CompileResult result;
   result.frontend_ir = std::move(frontend_ir);
 
@@ -279,7 +278,6 @@ Expected<CompileResult> Basecamp::backend(std::shared_ptr<ir::Module> frontend_i
       return Error::internal("basecamp: teil IR invalid after esn: " +
                              s.message());
   }
-  result.teil_ir = teil_ir;
 
   // Content-addressed tier: keyed on the canonical (pre-base2-annotation)
   // TeIL text, so EKL and CFDlang sources lowering to the same tensor
@@ -327,6 +325,8 @@ Expected<CompileResult> Basecamp::backend(std::shared_ptr<ir::Module> frontend_i
     });
     if (!width) return width.error();
   }
+  // The mid-end is done with teil_ir; from here on it is immutable.
+  result.teil_ir = std::move(teil_ir);
 
   auto kernel = timed(recorder_, timings, "hls-schedule", [&] {
     return hls::schedule_kernel(**loops, effective.hls);

@@ -38,12 +38,14 @@ struct StageTiming {
   double ms = 0.0;
 };
 
-/// Everything the pipeline produces for one kernel.
+/// Everything the pipeline produces for one kernel. The IR modules are
+/// immutable: a cache hit shares them with the cache and with every other
+/// hit, so code that wants to edit one works on ir::clone_module(*module).
 struct CompileResult {
-  std::shared_ptr<ir::Module> frontend_ir;  // ekl.kernel / cfdlang.program
-  std::shared_ptr<ir::Module> teil_ir;
-  std::shared_ptr<ir::Module> loop_ir;
-  std::shared_ptr<ir::Module> system_ir;    // olympus dialect
+  std::shared_ptr<const ir::Module> frontend_ir;  // ekl.kernel / cfdlang.program
+  std::shared_ptr<const ir::Module> teil_ir;
+  std::shared_ptr<const ir::Module> loop_ir;
+  std::shared_ptr<const ir::Module> system_ir;  // olympus dialect
   hls::KernelReport kernel;
   olympus::SystemEstimate estimate;
   olympus::Options olympus_options;  // the effective system configuration
@@ -140,15 +142,15 @@ public:
 
 private:
   support::Expected<CompileResult> backend(
-      std::shared_ptr<ir::Module> frontend_ir,
+      std::shared_ptr<const ir::Module> frontend_ir,
       std::shared_ptr<ir::Module> teil_ir, const CompileOptions &options,
       std::vector<StageTiming> timings,
       const std::string &direct_fingerprint);
 
-  /// Builds a CompileResult from a cache entry (clones already made by the
-  /// cache); shared by the direct-tier and content-tier hit paths.
+  /// Builds a CompileResult that shares a cache entry's master modules;
+  /// shared by the direct-tier and content-tier hit paths.
   support::Expected<CompileResult> result_from_cache(
-      std::shared_ptr<ir::Module> frontend_ir, CompileCacheEntry entry,
+      std::shared_ptr<const ir::Module> frontend_ir, CompileCacheEntry entry,
       const CompileOptions &options, std::vector<StageTiming> timings) const;
 
   ir::Context ctx_;

@@ -68,13 +68,17 @@ olympus::SystemEstimate estimate_from_json(const Json &j) {
   return e;
 }
 
-/// Deep-copies an entry so masters and handed-out copies never alias.
+/// Snapshots a module the caller may still hold a mutable alias to.
+std::shared_ptr<const ir::Module> snapshot(const ir::Module &module) {
+  return std::make_shared<const ir::Module>(ir::clone_module(module));
+}
+
+/// Deep-copies an entry so a master never aliases a caller's module.
 CompileCacheEntry clone_entry(const CompileCacheEntry &entry) {
   CompileCacheEntry copy = entry;
-  copy.teil_ir = std::make_shared<ir::Module>(ir::clone_module(*entry.teil_ir));
-  copy.loop_ir = std::make_shared<ir::Module>(ir::clone_module(*entry.loop_ir));
-  copy.system_ir =
-      std::make_shared<ir::Module>(ir::clone_module(*entry.system_ir));
+  copy.teil_ir = snapshot(*entry.teil_ir);
+  copy.loop_ir = snapshot(*entry.loop_ir);
+  copy.system_ir = snapshot(*entry.system_ir);
   return copy;
 }
 
@@ -165,6 +169,7 @@ void CompileCache::set_capacity(std::size_t max_entries) {
     ++evictions_;
     if (recorder_) recorder_->counter("sdk.cache.eviction").add(1);
   }
+  if (capacity_ > 0 && direct_.size() > capacity_) direct_.clear();
   update_entries_gauge();
 }
 
@@ -245,7 +250,7 @@ Expected<CompileCacheEntry> CompileCache::lookup(std::uint64_t key) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       ++hits_;
       count("hit");
-      return clone_entry(it->second.entry);
+      return it->second.entry;
     }
   }
   if (!dir_.empty()) {
@@ -253,8 +258,9 @@ Expected<CompileCacheEntry> CompileCache::lookup(std::uint64_t key) {
     if (loaded) {
       std::lock_guard<std::mutex> lock(mu_);
       // Another thread may have raced the same disk entry in; either copy
-      // is equivalent, so last insert wins.
-      insert_locked(key, clone_entry(*loaded));
+      // is equivalent, so last insert wins. The freshly parsed modules have
+      // no other owner, so they become the master as they are.
+      insert_locked(key, *loaded);
       ++hits_;
       count("hit");
       update_entries_gauge();
@@ -316,14 +322,8 @@ std::optional<CompileCache::DirectHit> CompileCache::direct_lookup_full(
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = direct_.find(fp);
-    if (it != direct_.end()) {
-      DirectHit hit;
-      hit.key = it->second.key;
-      if (it->second.frontend)
-        hit.frontend =
-            std::make_shared<ir::Module>(ir::clone_module(*it->second.frontend));
-      return hit;
-    }
+    if (it != direct_.end())
+      return DirectHit{it->second.key, it->second.frontend};
   }
   if (dir_.empty()) return std::nullopt;
   std::ifstream file(dir_ + "/direct-" + hex16(fp) + ".json");
@@ -332,22 +332,34 @@ std::optional<CompileCache::DirectHit> CompileCache::direct_lookup_full(
   text << file.rdbuf();
   auto json = Json::parse(text.str());
   if (!json || !(*json)["key"].is_string()) return std::nullopt;
-  DirectEntry entry;
-  entry.key = std::strtoull((*json)["key"].as_string().c_str(), nullptr, 16);
+  std::uint64_t key =
+      std::strtoull((*json)["key"].as_string().c_str(), nullptr, 16);
+  std::shared_ptr<const ir::Module> frontend;
   if ((*json)["frontend_ir"].is_string()) {
     // Optional field; older entries (or hand-edited files) simply fall back
     // to re-parsing the source on a hit.
     if (auto parsed = ir::parse_module((*json)["frontend_ir"].as_string()))
-      entry.frontend = *parsed;
+      frontend = *parsed;
   }
-  DirectHit hit;
-  hit.key = entry.key;
-  if (entry.frontend)
-    hit.frontend =
-        std::make_shared<ir::Module>(ir::clone_module(*entry.frontend));
   std::lock_guard<std::mutex> lock(mu_);
-  direct_.emplace(fp, std::move(entry));
-  return hit;
+  const DirectEntry &entry = direct_insert_locked(fp, key, std::move(frontend));
+  return DirectHit{entry.key, entry.frontend};
+}
+
+CompileCache::DirectEntry &CompileCache::direct_insert_locked(
+    std::uint64_t fp, std::uint64_t key,
+    std::shared_ptr<const ir::Module> frontend) {
+  auto it = direct_.find(fp);
+  if (it == direct_.end()) {
+    // Same policy as the pass tier: a wholesale reset bounds memory without
+    // LRU bookkeeping, and handed-out frontends stay alive through their
+    // shared_ptrs.
+    if (capacity_ > 0 && direct_.size() >= capacity_) direct_.clear();
+    it = direct_.emplace(fp, DirectEntry{}).first;
+  }
+  it->second.key = key;
+  if (frontend) it->second.frontend = std::move(frontend);
+  return it->second;
 }
 
 void CompileCache::direct_store(const std::string &fingerprint,
@@ -357,13 +369,10 @@ void CompileCache::direct_store(const std::string &fingerprint,
   // Master copy: callers keep (and may mutate) their module, so the tier
   // snapshots it. Refreshing with a null frontend keeps the existing master.
   std::shared_ptr<const ir::Module> master;
-  if (frontend)
-    master = std::make_shared<const ir::Module>(ir::clone_module(*frontend));
+  if (frontend) master = snapshot(*frontend);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    DirectEntry &entry = direct_[fp];
-    entry.key = key;
-    if (master) entry.frontend = master;
+    direct_insert_locked(fp, key, std::move(master));
   }
   if (dir_.empty()) return;
   std::error_code ec;

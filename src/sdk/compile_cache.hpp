@@ -11,9 +11,12 @@
 // canonical text.
 //
 // Cached IR is kept both as printed text (the on-disk form under
-// `--cache-dir`) and as parsed master modules; lookups hand out private
-// deep clones (ir::clone_module), which print byte-identically to the
-// originals — a fresh compile and a cache hit yield the same CompileResult.
+// `--cache-dir`) and as parsed master modules. store() snapshots the
+// caller's modules once (ir::clone_module, outside the lock); lookups hand
+// out the masters themselves as shared_ptr<const ir::Module>, so a warm hit
+// copies no IR. Masters are never mutated after they are published, and a
+// caller that wants to edit a returned module clones it first. A fresh
+// compile and a cache hit yield byte-identical CompileResults.
 //
 // The cache is thread-safe; hit/miss/eviction/corruption counts are mirrored
 // onto an attached obs::TraceRecorder ("sdk.cache.*").
@@ -37,12 +40,13 @@
 
 namespace everest::sdk {
 
-/// One cached backend result. Modules handed to store() are cloned in, and
-/// lookup() returns fresh clones, so entries are immune to caller mutation.
+/// One cached backend result. Modules handed to store() are cloned in, so
+/// entries are immune to caller mutation; lookup() shares the immutable
+/// masters.
 struct CompileCacheEntry {
-  std::shared_ptr<ir::Module> teil_ir;    // canonical TeIL, base2-annotated
-  std::shared_ptr<ir::Module> loop_ir;
-  std::shared_ptr<ir::Module> system_ir;  // olympus + evp deployment ops
+  std::shared_ptr<const ir::Module> teil_ir;  // canonical TeIL, base2-annotated
+  std::shared_ptr<const ir::Module> loop_ir;
+  std::shared_ptr<const ir::Module> system_ir;  // olympus + evp deployment ops
   hls::KernelReport kernel;
   olympus::SystemEstimate estimate;
   int datapath_bits = 64;
@@ -107,9 +111,9 @@ public:
                                          const CompileOptions &options,
                                          const std::string &target);
 
-  /// Returns a private copy of the entry, NotFound on a miss, or a coded
-  /// error (InvalidArgument) when a persisted entry exists but is corrupt —
-  /// callers treat both failure kinds as "compile fresh".
+  /// Returns the entry (sharing its master modules), NotFound on a miss, or
+  /// a coded error (InvalidArgument) when a persisted entry exists but is
+  /// corrupt — callers treat both failure kinds as "compile fresh".
   [[nodiscard]] support::Expected<CompileCacheEntry> lookup(std::uint64_t key);
 
   /// Inserts (or refreshes) an entry, evicting least-recently-used entries
@@ -121,10 +125,11 @@ public:
   /// source skips the frontend parse along with the backend. The frontend
   /// lives beside the fingerprint — not in the content entry — because EKL
   /// and CFDlang sources lowering to the same TeIL share one content entry
-  /// but have different frontends.
+  /// but have different frontends. The tier holds at most capacity entries
+  /// and is dropped wholesale when a new fingerprint would exceed it.
   struct DirectHit {
     std::uint64_t key = 0;
-    std::shared_ptr<ir::Module> frontend;  // private clone; null if unknown
+    std::shared_ptr<const ir::Module> frontend;  // master; null if unknown
   };
   [[nodiscard]] std::optional<std::uint64_t> direct_lookup(
       const std::string &fingerprint);
@@ -141,7 +146,8 @@ public:
   /// .eviction / .corrupt, plus the sdk.cache.entries gauge.
   void attach_recorder(obs::TraceRecorder *recorder);
 
-  /// Bounds the number of in-memory entries (0 = unbounded, the default).
+  /// Bounds the in-memory content and direct tiers to `max_entries` each
+  /// (0 = unbounded; the default is 1024, like PassResultCache).
   void set_capacity(std::size_t max_entries);
 
   [[nodiscard]] std::int64_t hits() const;
@@ -156,6 +162,10 @@ private:
     CompileCacheEntry entry;                    // owns the master modules
     std::list<std::uint64_t>::iterator lru_it;  // position in lru_
   };
+  struct DirectEntry {
+    std::uint64_t key = 0;
+    std::shared_ptr<const ir::Module> frontend;  // master; null if unknown
+  };
 
   [[nodiscard]] static std::string entry_path(const std::string &dir,
                                               std::uint64_t key);
@@ -164,21 +174,20 @@ private:
       std::uint64_t key) const;
   void persist(std::uint64_t key, const CompileCacheEntry &entry) const;
   void insert_locked(std::uint64_t key, CompileCacheEntry master);
+  /// Maps `fp` to `key`, keeping the existing frontend when `frontend` is
+  /// null; resets the tier first when a new fingerprint would overflow it.
+  DirectEntry &direct_insert_locked(std::uint64_t fp, std::uint64_t key,
+                                    std::shared_ptr<const ir::Module> frontend);
   void count(const char *event);
   void update_entries_gauge();
 
   mutable std::mutex mu_;
   std::string dir_;
   PassResultCache pass_tier_;
-  struct DirectEntry {
-    std::uint64_t key = 0;
-    std::shared_ptr<const ir::Module> frontend;  // master; null if unknown
-  };
-
   std::map<std::uint64_t, Master> entries_;
   std::list<std::uint64_t> lru_;  // front = most recently used
   std::map<std::uint64_t, DirectEntry> direct_;  // fp hash -> content key
-  std::size_t capacity_ = 0;
+  std::size_t capacity_ = 1024;
   obs::TraceRecorder *recorder_ = nullptr;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;

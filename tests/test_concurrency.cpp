@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -12,11 +13,14 @@
 #include "sdk/basecamp.hpp"
 #include "sdk/compile_cache.hpp"
 #include "support/thread_pool.hpp"
+#include "transforms/loop_eval.hpp"
 #include "usecases/rrtmg.hpp"
 
 namespace es = everest::sdk;
 namespace esup = everest::support;
 namespace rr = everest::usecases::rrtmg;
+namespace en = everest::numerics;
+namespace et = everest::transforms;
 
 // ---------------------------------------------------------------------------
 // ThreadPool
@@ -81,9 +85,10 @@ TEST(ThreadPoolTest, ParallelIndexedPreservesOrder) {
 
 namespace {
 
-std::vector<es::CompileJob> make_jobs() {
+std::vector<es::CompileJob> make_jobs(
+    std::initializer_list<std::int64_t> rrtmg_ncells = {8, 16, 32}) {
   std::vector<es::CompileJob> jobs;
-  for (std::int64_t ncells : {8, 16, 32}) {
+  for (std::int64_t ncells : rrtmg_ncells) {
     rr::Config cfg;
     cfg.ncells = ncells;
     rr::Data data = rr::make_data(cfg);
@@ -216,6 +221,106 @@ TEST(ParallelCompileTest, CachedParallelCompileMatchesSerialUncached) {
   EXPECT_TRUE(saw_pool_gauge);
 }
 
+namespace {
+
+/// A smaller matmul than make_jobs()'s: loop IR materializes the outer
+/// product, which takes ~30 ms to interpret at 16x24x8.
+constexpr const char *kSmallMatmul = R"(
+program mm
+input A : [4, 6]
+input B : [6, 2]
+output C = contract(outer(A, B), 1, 2)
+)";
+
+/// Loop-IR inputs for a job: the EKL bindings, or a fixed ramp for
+/// kSmallMatmul.
+std::map<std::string, en::Tensor> loop_inputs(const es::CompileJob &job) {
+  if (job.kind == es::CompileJob::Kind::Ekl) return job.bindings.inputs;
+  auto ramp = [](std::int64_t rows, std::int64_t cols) {
+    std::vector<double> data(static_cast<std::size_t>(rows * cols));
+    for (std::size_t i = 0; i < data.size(); ++i)
+      data[i] = 0.25 * static_cast<double>(i % 7) - 0.5;
+    return en::Tensor({rows, cols}, std::move(data));
+  };
+  return {{"A", ramp(4, 6)}, {"B", ramp(6, 2)}};
+}
+
+bool same_outputs(const std::map<std::string, en::Tensor> &a,
+                  const std::map<std::string, en::Tensor> &b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto &x, const auto &y) {
+                      return x.first == y.first &&
+                             x.second.shape() == y.second.shape() &&
+                             std::ranges::equal(x.second.data(),
+                                                y.second.data());
+                    });
+}
+
+/// Printed IR of every stage, concatenated.
+std::string ir_text(const es::CompileResult &r) {
+  return r.frontend_ir->str() + r.teil_ir->str() + r.loop_ir->str() +
+         r.system_ir->str();
+}
+
+}  // namespace
+
+TEST(ParallelCompileTest, ConcurrentWarmHitsShareMastersSafely) {
+  // Warm hits hand every caller the same immutable modules; eight threads
+  // printing and interpreting them at once must see exactly what a serial
+  // uncached compile produces (and, under tsan, race on nothing). Small
+  // kernels keep the nine rounds of loop-IR interpretation cheap.
+  auto jobs = make_jobs({2, 4});
+  jobs.back().source = kSmallMatmul;
+  es::Basecamp plain;
+  auto baseline = plain.compile_many(jobs, 1);
+  std::vector<std::string> want_text;
+  std::vector<std::map<std::string, en::Tensor>> want_out;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(baseline[i].has_value()) << baseline[i].error().message;
+    want_text.push_back(ir_text(*baseline[i]));
+    auto out = et::evaluate_loops(*baseline[i]->loop_ir, loop_inputs(jobs[i]));
+    ASSERT_TRUE(out.has_value()) << out.error().message;
+    want_out.push_back(std::move(*out));
+  }
+
+  es::CompileCache cache;
+  es::Basecamp cached;
+  cached.attach_cache(&cache);
+  for (const auto &r : cached.compile_many(jobs, 4)) ASSERT_TRUE(r.has_value());
+
+  constexpr int kThreads = 8;
+  std::vector<std::vector<es::CompileResult>> got(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto results = cached.compile_many(jobs, 2);
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (!results[i] || ir_text(*results[i]) != want_text[i]) {
+          failures.fetch_add(1);
+          continue;
+        }
+        auto out = et::evaluate_loops(*results[i]->loop_ir,
+                                      loop_inputs(jobs[i]));
+        if (!out || !same_outputs(*out, want_out[i])) failures.fetch_add(1);
+        got[t].push_back(std::move(*results[i]));
+      }
+    });
+  }
+  for (auto &th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(cache.hits(),
+            static_cast<std::int64_t>(kThreads * jobs.size()));
+  // Every thread got the very same master modules.
+  for (int t = 1; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), got[0].size());
+    for (std::size_t i = 0; i < got[t].size(); ++i) {
+      EXPECT_EQ(got[t][i].teil_ir, got[0][i].teil_ir);
+      EXPECT_EQ(got[t][i].loop_ir, got[0][i].loop_ir);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cache stress
 
@@ -245,9 +350,9 @@ TEST(CompileCacheStressTest, EightThreadsHammeringOneCache) {
         cache.store(key, entry);
         auto hit = cache.lookup(probe);  // keys 32..47 are never stored
         if (hit) {
-          // Handed-out clones must match the master byte-for-byte and be
-          // private: mutating-by-aliasing another thread's copy is impossible
-          // because every lookup returns a fresh deep clone.
+          // Hits must match the stored module byte-for-byte, yet never alias
+          // the caller's copy: store() snapshots it, so the shared master is
+          // out of the caller's reach.
           if (hit->teil_ir->str() != teil_text) failures.fetch_add(1);
           if (hit->teil_ir == seed->teil_ir) failures.fetch_add(1);
         }

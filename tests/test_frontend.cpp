@@ -171,6 +171,19 @@ output B = transpose(A, 1, 0)
   EXPECT_EQ(ops[0]->result(0)->type().str(), "tensor<3x2xf64>");
 }
 
+TEST_F(FrontendTest, CfdlangTransposeRejectsBadPermutations) {
+  // Regression: entries were used as indices unchecked, so an out-of-range
+  // entry read past the operand's shape.
+  for (const char *perm : {"1, 5", "0, 0", "-1, 0", "1, 1", "0, 1, 2"}) {
+    auto m = ef::parse_cfdlang(
+        std::string("program t\ninput A : [2, 3]\noutput B = transpose(A, ") +
+        perm + ")\n");
+    ASSERT_FALSE(m.has_value()) << perm;
+    EXPECT_EQ(m.error().code_enum(), everest::support::ErrorCode::InvalidArgument)
+        << perm;
+  }
+}
+
 // --------------------------------------------------------------- ConDRust
 
 TEST_F(FrontendTest, CondrustFig4MapMatching) {

@@ -516,6 +516,41 @@ fn pipe(xs: Stream<f64>) -> Stream<f64> {
   EXPECT_FALSE(er::execute_dfg(**m2, registry_, inputs, 1).has_value());
 }
 
+TEST_F(DfgExecutorTest, NodeWithTwoBroadcastOperands) {
+  // Two fold results (length-1 streams) feed one node, so both are
+  // broadcast to the stream length. Regression: the broadcast copies used
+  // to live in a vector that reallocated under the pointers taken to its
+  // earlier elements (heap-use-after-free under -fsanitize=address).
+  registry_.register_fold("sum", er::Record{0.0},
+                          [](const er::Record &state, const auto &in) {
+                            return er::Record{state[0] + (*in[0])[0]};
+                          });
+  registry_.register_node("combine", [](const auto &in) {
+    return er::Record{(*in[0])[0] + 10.0 * (*in[1])[0] +
+                      100.0 * (*in[2])[0]};
+  });
+  auto m = ef::parse_condrust(R"(
+fn pipe(xs: Stream<f64>) -> Stream<f64> {
+    let a = fold sum(xs);
+    let b = fold sum(xs);
+    let c = combine(xs, a, b);
+    return c;
+}
+)");
+  ASSERT_TRUE(m.has_value()) << m.error().message;
+  std::map<std::string, er::Stream> inputs;
+  inputs["xs"] = {{1.0}, {2.0}, {3.0}};
+  for (int workers : {1, 4}) {
+    auto out = er::execute_dfg(**m, registry_, inputs, workers);
+    ASSERT_TRUE(out.has_value()) << out.error().message;
+    // a = b = 6, so c[i] = x[i] + 60 + 600.
+    ASSERT_EQ(out->at("c").size(), 3u);
+    EXPECT_DOUBLE_EQ(out->at("c")[0][0], 661.0);
+    EXPECT_DOUBLE_EQ(out->at("c")[1][0], 662.0);
+    EXPECT_DOUBLE_EQ(out->at("c")[2][0], 663.0);
+  }
+}
+
 // ----------------------------------------------------------- virtualization
 
 TEST(Virt, VmLifecycleAndOversubscription) {

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
 
 #include "platform/xrt.hpp"
 #include "sdk/basecamp.hpp"
@@ -259,6 +260,37 @@ TEST_F(CompileCacheTest, HitOnIdenticalRecompile) {
   EXPECT_DOUBLE_EQ(cold.estimate.total_us, warm.estimate.total_us);
 }
 
+TEST_F(CompileCacheTest, WarmHitsShareImmutableMasters) {
+  static_assert(std::is_same_v<decltype(es::CompileResult::teil_ir),
+                               std::shared_ptr<const everest::ir::Module>>);
+  es::CompileCache cache;
+  es::Basecamp basecamp;
+  basecamp.attach_cache(&cache);
+
+  auto cold = compile(basecamp);
+  auto warm = compile(basecamp);
+  auto again = compile(basecamp);
+  EXPECT_EQ(cache.hits(), 2);
+
+  // Both warm compiles hand out the cache's master modules, not copies.
+  EXPECT_EQ(warm.frontend_ir, again.frontend_ir);
+  EXPECT_EQ(warm.teil_ir, again.teil_ir);
+  EXPECT_EQ(warm.loop_ir, again.loop_ir);
+  EXPECT_EQ(warm.system_ir, again.system_ir);
+  // The masters are snapshots taken on store, never the cold caller's own
+  // modules.
+  EXPECT_NE(cold.frontend_ir, warm.frontend_ir);
+  EXPECT_NE(cold.teil_ir, warm.teil_ir);
+  EXPECT_NE(cold.loop_ir, warm.loop_ir);
+  EXPECT_NE(cold.system_ir, warm.system_ir);
+
+  // Shared masters print byte-identically to the cold compile.
+  EXPECT_EQ(cold.frontend_ir->str(), warm.frontend_ir->str());
+  EXPECT_EQ(cold.teil_ir->str(), warm.teil_ir->str());
+  EXPECT_EQ(cold.loop_ir->str(), warm.loop_ir->str());
+  EXPECT_EQ(cold.system_ir->str(), warm.system_ir->str());
+}
+
 TEST_F(CompileCacheTest, AnyPerturbationMisses) {
   es::CompileCache cache;
   es::Basecamp basecamp;
@@ -359,6 +391,57 @@ TEST_F(CompileCacheTest, CorruptedEntryIsCodedAndFallsBack) {
               everest::support::ErrorCode::InvalidArgument);
   }
   std::filesystem::remove_all(dir);
+}
+
+namespace {
+
+/// A backend entry with empty modules: cheap to store a thousand times.
+es::CompileCacheEntry tiny_entry() {
+  es::CompileCacheEntry entry;
+  entry.teil_ir = std::make_shared<const everest::ir::Module>();
+  entry.loop_ir = std::make_shared<const everest::ir::Module>();
+  entry.system_ir = std::make_shared<const everest::ir::Module>();
+  return entry;
+}
+
+}  // namespace
+
+TEST(CompileCacheCapacityTest, DefaultCapacityEvictsOn1025thStore) {
+  es::CompileCache cache;
+  const auto entry = tiny_entry();
+  for (std::uint64_t key = 0; key < 1024; ++key) cache.store(key, entry);
+  EXPECT_EQ(cache.size(), 1024u);
+  EXPECT_EQ(cache.evictions(), 0);
+
+  cache.store(1024, entry);
+  EXPECT_EQ(cache.size(), 1024u);
+  EXPECT_EQ(cache.evictions(), 1);
+  EXPECT_FALSE(cache.lookup(0).has_value());  // the least recently used
+  EXPECT_TRUE(cache.lookup(1024).has_value());
+
+  // Capacity 0 lifts the bound on both tiers.
+  cache.set_capacity(0);
+  cache.store(2000, entry);
+  EXPECT_EQ(cache.size(), 1025u);
+  EXPECT_EQ(cache.evictions(), 1);
+  for (std::uint64_t key = 0; key < 1100; ++key)
+    cache.direct_store("fp-" + std::to_string(key), key);
+  EXPECT_EQ(cache.direct_lookup("fp-0"), std::optional<std::uint64_t>(0));
+}
+
+TEST(CompileCacheCapacityTest, DirectTierResetsWhenItOverflows) {
+  es::CompileCache cache;
+  cache.set_capacity(2);
+  cache.direct_store("a", 1);
+  cache.direct_store("b", 2);
+  cache.direct_store("a", 3);  // a refresh is not a new fingerprint
+  EXPECT_EQ(cache.direct_lookup("a"), std::optional<std::uint64_t>(3));
+  EXPECT_EQ(cache.direct_lookup("b"), std::optional<std::uint64_t>(2));
+
+  cache.direct_store("c", 4);  // a third fingerprint drops the tier
+  EXPECT_FALSE(cache.direct_lookup("a").has_value());
+  EXPECT_FALSE(cache.direct_lookup("b").has_value());
+  EXPECT_EQ(cache.direct_lookup("c"), std::optional<std::uint64_t>(4));
 }
 
 TEST_F(CompileCacheTest, LruEvictionIsBoundedAndCounted) {
