@@ -1,6 +1,7 @@
 #include "serve/qos.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace everest::serve {
@@ -82,6 +83,13 @@ support::Status AdmissionQueue::admit(PendingRequest &pending, double now_us,
   }
   t.waiting.insert(pos, std::move(pending));
   ++size_;
+  if (last_admit_us_ >= 0.0) {
+    double gap = std::max(0.0, now_us - last_admit_us_);
+    mean_gap_us_ = std::isinf(mean_gap_us_)
+                       ? gap
+                       : mean_gap_us_ + kAdmitGapWeight * (gap - mean_gap_us_);
+  }
+  last_admit_us_ = now_us;
   return support::Status::ok();
 }
 

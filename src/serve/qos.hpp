@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -96,6 +97,11 @@ public:
   /// (-1 when none). The dispatcher caps its batch-fill wait at this time so
   /// an expired request is shed eagerly instead of aging in the queue.
   [[nodiscard]] double earliest_deadline_us() const;
+  /// Mean gap (us) between successive admissions: an EWMA with weight
+  /// kAdmitGapWeight on the newest gap, seeded with the first gap. +inf
+  /// until two admissions have been seen, so a lone first request is never
+  /// held for a batch that nothing predicts will fill.
+  [[nodiscard]] double mean_admit_gap_us() const { return mean_gap_us_; }
   [[nodiscard]] std::size_t tenant_depth(const std::string &name) const;
 
 private:
@@ -118,6 +124,11 @@ private:
   /// scan the dispatcher wait loop would otherwise repeat per iteration.
   std::multiset<double> admit_times_;
   std::multiset<double> deadlines_;
+  /// Arrival-rate estimate behind mean_admit_gap_us(); last_admit_us_ < 0
+  /// until the first admission.
+  static constexpr double kAdmitGapWeight = 1.0 / 8.0;
+  double last_admit_us_ = -1.0;
+  double mean_gap_us_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace everest::serve

@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 namespace everest::serve {
 
@@ -39,6 +40,12 @@ support::Expected<std::unique_ptr<Server>> Server::create(
           "' serves different input streams than '" +
           backends.front()->name() + "'");
     }
+  }
+  if (options.dispatchers > kMaxDispatchers) {
+    return support::Error::invalid_argument(
+        "serve: " + std::to_string(options.dispatchers) +
+        " dispatchers requested, at most " + std::to_string(kMaxDispatchers) +
+        " supported");
   }
   if (options.dispatchers < 1) options.dispatchers = 1;
   if (options.queue_bound == 0) options.queue_bound = 1024;
@@ -196,19 +203,23 @@ void Server::dispatcher_loop(int worker_index) {
       if (stopping_) return;
       continue;
     }
-    // Dynamic batching: hold the batch open until it fills, the oldest
-    // request's wait budget expires, or the server drains/stops.
+    // Work-conserving batching: cut now unless the measured arrival gap
+    // predicts the batch fills before the oldest request's wait budget
+    // expires; re-decide on every arrival and on drain/stop, and cut when
+    // the hold times out, i.e. when the predicted arrivals did not come.
     while (!stopping_ && !draining_) {
       double now = clock_.now_us();
       if (batcher_.should_dispatch(queue_.size(), queue_.oldest_admit_us(),
                                    now, /*draining=*/false,
-                                   queue_.earliest_deadline_us())) {
+                                   queue_.earliest_deadline_us(),
+                                   queue_.mean_admit_gap_us())) {
         break;
       }
-      double budget = batcher_.wait_budget_us(queue_.oldest_admit_us(), now,
-                                              queue_.earliest_deadline_us());
+      double hold = batcher_.hold_us(
+          queue_.size(), queue_.oldest_admit_us(), now,
+          queue_.earliest_deadline_us(), queue_.mean_admit_gap_us());
       auto status = work_cv_.wait_for(
-          lock, std::chrono::duration<double, std::micro>(budget));
+          lock, std::chrono::duration<double, std::micro>(hold));
       if (queue_.empty()) break;  // another dispatcher took the work
       if (status == std::cv_status::timeout) break;
     }
@@ -283,16 +294,16 @@ void Server::execute_batch(std::vector<PendingRequest> batch,
   const auto &input_names = backends_.front()->input_names();
   std::map<std::string, runtime::Stream> inputs;
   for (const auto &name : input_names) inputs[name].reserve(batch.size());
-  std::set<std::string> tenants_in_batch;
   for (auto &p : batch) {
     for (const auto &name : input_names) {
       inputs[name].push_back(p.request.inputs.at(name));
     }
-    tenants_in_batch.insert(p.request.tenant);
   }
 
   std::optional<obs::TraceRecorder::Span> span;
   if (recorder_) {
+    std::set<std::string_view> tenants_in_batch;
+    for (const auto &p : batch) tenants_in_batch.insert(p.request.tenant);
     span.emplace(recorder_->span("batch-" + std::to_string(batch_id),
                                  "serve.batch",
                                  "serve.dispatcher-" +
@@ -404,14 +415,15 @@ void Server::execute_batch(std::vector<PendingRequest> batch,
     recorder_->counter("serve.batches").add(1);
     recorder_->histogram("serve.batch_size")
         .record(static_cast<double>(batch.size()));
-    for (const auto &p : batch) {
-      if (ok) {
+    auto size = static_cast<std::int64_t>(batch.size());
+    if (ok) {
+      recorder_->counter("serve.completed").add(size);
+      for (const auto &p : batch) {
         recorder_->histogram("serve.latency_us." + p.request.tenant)
             .record(finish - p.admit_us);
-        recorder_->counter("serve.completed").add(1);
-      } else {
-        recorder_->counter("serve.failed").add(1);
       }
+    } else {
+      recorder_->counter("serve.failed").add(size);
     }
     if (breaker_rejections > 0) {
       recorder_->counter("serve.breaker.rejected").add(breaker_rejections);

@@ -1,15 +1,16 @@
 // everest/serve/server.hpp
 //
 // The everest::serve request server: a thread-safe admission queue feeding
-// dispatcher threads that coalesce compatible requests into batches
-// (dynamic batching: dispatch when max_batch fills or the oldest request
-// has waited max_wait_us) and run them through the backend chain with
-// failover. Per-tenant QoS — token-bucket rate limits, weighted-fair
-// dequeue, bounded queues with load shedding — lives in qos.hpp; this file
-// owns the threading, the batch lifecycle, the resilience wiring (retry
-// per backend attempt, circuit breaker per backend, deadline shedding),
-// and the observability surface (serve.* counters/gauges/histograms plus
-// one span per dispatched batch).
+// dispatcher threads that coalesce compatible requests into batches and run
+// them through the backend chain with failover. Batching is work-conserving
+// (batcher.hpp): a free dispatcher cuts whatever is queued, and holds a
+// partial batch — for at most max_wait_us — only while the measured arrival
+// rate predicts it fills to max_batch. Per-tenant QoS — token-bucket rate
+// limits, weighted-fair dequeue, bounded queues with load shedding — lives
+// in qos.hpp; this file owns the threading, the batch lifecycle, the
+// resilience wiring (retry per backend attempt, circuit breaker per backend,
+// deadline shedding), and the observability surface (serve.*
+// counters/gauges/histograms plus one span per dispatched batch).
 #pragma once
 
 #include <condition_variable>
@@ -32,9 +33,13 @@
 
 namespace everest::serve {
 
+/// Upper bound on ServerOptions::dispatchers; Server::create rejects more
+/// with InvalidArgument before any thread is spawned.
+inline constexpr int kMaxDispatchers = 256;
+
 struct ServerOptions {
   BatcherOptions batch;
-  /// Dispatcher (batch-forming/executing) threads.
+  /// Dispatcher (batch-forming/executing) threads, at most kMaxDispatchers.
   int dispatchers = 1;
   /// Default per-tenant queue bound (TenantConfig::queue_bound overrides).
   std::size_t queue_bound = 1024;

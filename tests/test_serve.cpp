@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -1025,4 +1027,189 @@ TEST(Server, ConfigureTenantClampsSubUnityBurst) {
   server->start();
   server->drain();
   EXPECT_TRUE(a->get().status.is_ok());
+}
+
+// ------------------------------------------------- work-conserving batching
+
+TEST(DynamicBatcher, HoldsOnlyWhenArrivalGapPredictsAFill) {
+  es::DynamicBatcher batcher({/*max_batch=*/8, /*max_wait_us=*/100.0});
+  // depth 2 at now = 10: 90 us of budget left, 6 requests missing.
+  EXPECT_FALSE(batcher.should_dispatch(2, 0.0, 10.0, false, -1.0, 10.0))
+      << "6 arrivals x 10 us fit in 90 us: hold";
+  EXPECT_FALSE(batcher.should_dispatch(2, 0.0, 10.0, false, -1.0, 15.0))
+      << "6 x 15 us exactly fills the budget: hold";
+  EXPECT_TRUE(batcher.should_dispatch(2, 0.0, 10.0, false, -1.0, 20.0))
+      << "6 x 20 us overruns the budget: dispatch now";
+  EXPECT_TRUE(batcher.should_dispatch(2, 0.0, 10.0, false, -1.0,
+                                      std::numeric_limits<double>::infinity()))
+      << "no arrival expected: dispatch now";
+  EXPECT_FALSE(batcher.should_dispatch(2, 0.0, 10.0, false, -1.0, 0.0))
+      << "back-to-back arrivals keep the fixed-wait rule";
+  // The deadline cap shrinks the budget the prediction is measured against.
+  EXPECT_TRUE(batcher.should_dispatch(2, 0.0, 10.0, false, 40.0, 10.0))
+      << "6 x 10 us overruns the 30 us left before the deadline";
+  // The unconditional checks still come first.
+  EXPECT_FALSE(batcher.should_dispatch(0, 0.0, 10.0, false, -1.0,
+                                       std::numeric_limits<double>::infinity()))
+      << "empty queue";
+  EXPECT_TRUE(batcher.should_dispatch(8, 0.0, 10.0, false, -1.0, 0.0))
+      << "batch full";
+  EXPECT_TRUE(batcher.should_dispatch(2, 0.0, 100.0, false, -1.0, 0.0))
+      << "oldest aged out";
+}
+
+TEST(DynamicBatcher, HoldEndsWhenThePredictedFillStopsFitting) {
+  es::DynamicBatcher batcher({/*max_batch=*/8, /*max_wait_us=*/100.0});
+  // depth 2 at now = 10: 90 us of budget, 6 x 10 us needed, 30 us of slack.
+  EXPECT_DOUBLE_EQ(batcher.hold_us(2, 0.0, 10.0, -1.0, 10.0), 30.0);
+  EXPECT_DOUBLE_EQ(batcher.hold_us(2, 0.0, 10.0, 80.0, 10.0), 10.0)
+      << "the deadline cap shrinks the slack too";
+  EXPECT_DOUBLE_EQ(batcher.hold_us(2, 0.0, 10.0, -1.0, 0.0), 90.0)
+      << "back-to-back arrivals may use the whole budget";
+  EXPECT_LT(batcher.hold_us(2, 0.0, 10.0, -1.0,
+                            std::numeric_limits<double>::infinity()),
+            0.0);
+  // After 30 us without an arrival the slack is used up: holding until
+  // then is allowed, one microsecond later the batch is cut, long before
+  // the oldest request's 100 us budget runs out.
+  EXPECT_FALSE(batcher.should_dispatch(2, 0.0, 40.0, false, -1.0, 10.0));
+  EXPECT_DOUBLE_EQ(batcher.hold_us(2, 0.0, 40.0, -1.0, 10.0), 0.0);
+  EXPECT_TRUE(batcher.should_dispatch(2, 0.0, 41.0, false, -1.0, 10.0));
+  EXPECT_DOUBLE_EQ(batcher.hold_us(8, 0.0, 10.0, -1.0, 10.0), 90.0)
+      << "a full batch needs nothing more";
+}
+
+TEST(AdmissionQueue, MeanAdmitGapIsAnEwmaOfAdmissions) {
+  es::AdmissionQueue queue(/*default_bound=*/2);
+  EXPECT_TRUE(std::isinf(queue.mean_admit_gap_us()));
+  auto p1 = make_pending(1, "t");
+  ASSERT_TRUE(queue.admit(p1, 1000.0).is_ok());
+  EXPECT_TRUE(std::isinf(queue.mean_admit_gap_us()))
+      << "one admission says nothing about the arrival rate";
+  auto p2 = make_pending(2, "t");
+  ASSERT_TRUE(queue.admit(p2, 1100.0).is_ok());
+  EXPECT_DOUBLE_EQ(queue.mean_admit_gap_us(), 100.0) << "seeded by first gap";
+  // Shed admissions are not arrivals the batcher can batch.
+  auto shed = make_pending(3, "t");
+  ASSERT_FALSE(queue.admit(shed, 1150.0).is_ok());
+  EXPECT_DOUBLE_EQ(queue.mean_admit_gap_us(), 100.0);
+  ASSERT_TRUE(queue.pop(1200.0).has_value());
+  EXPECT_DOUBLE_EQ(queue.mean_admit_gap_us(), 100.0) << "pops do not count";
+  auto p4 = make_pending(4, "t");
+  ASSERT_TRUE(queue.admit(p4, 1300.0).is_ok());
+  EXPECT_DOUBLE_EQ(queue.mean_admit_gap_us(), 100.0 + (200.0 - 100.0) / 8.0);
+}
+
+// Regression: at low load a partial batch must not be held for the whole
+// max_wait_us. Before the arrival-rate prediction each of these requests,
+// arriving 50 ms apart, sat out the full 200 ms budget waiting for 15 more.
+TEST(Server, SparseArrivalsAreDispatchedWithoutWaitingOutMaxWait) {
+  es::ServerOptions options;
+  options.dispatchers = 2;
+  options.batch.max_batch = 16;
+  options.batch.max_wait_us = 200'000.0;
+  auto server = make_pipe_server(options, nullptr);
+  server->start();
+  std::vector<std::future<es::Response>> futures;
+  for (int i = 0; i < 5; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    es::Request req;
+    req.inputs["xs"] = {static_cast<double>(i)};
+    auto submitted = server->submit(std::move(req));
+    ASSERT_TRUE(submitted.has_value());
+    futures.push_back(std::move(*submitted));
+  }
+  for (auto &future : futures) {
+    es::Response response = future.get();
+    ASSERT_TRUE(response.status.is_ok()) << response.status.message();
+    EXPECT_LT(response.latency_us, 100'000.0)
+        << "request " << response.request_id << " waited for a batch";
+  }
+  server->stop();
+}
+
+// Requests 10 ms apart predict a fill of 16 within the 200 ms budget, so
+// the dispatcher holds; when they stop after the fifth, the prediction
+// fails 120 ms before the budget does (12 missing x 10 ms) and the batch is
+// cut then. Holding for the full budget made every held request wait
+// about 200 ms.
+TEST(Server, PartialBatchIsCutWhenPredictedArrivalsStop) {
+  es::ServerOptions options;
+  options.dispatchers = 1;
+  options.batch.max_batch = 16;
+  options.batch.max_wait_us = 200'000.0;
+  auto server = make_pipe_server(options, nullptr);
+  server->start();
+  std::vector<std::future<es::Response>> futures;
+  for (int i = 0; i < 5; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    es::Request req;
+    req.inputs["xs"] = {static_cast<double>(i)};
+    auto submitted = server->submit(std::move(req));
+    ASSERT_TRUE(submitted.has_value());
+    futures.push_back(std::move(*submitted));
+  }
+  for (auto &future : futures) {
+    es::Response response = future.get();
+    ASSERT_TRUE(response.status.is_ok()) << response.status.message();
+    EXPECT_LT(response.latency_us, 150'000.0)
+        << "request " << response.request_id
+        << " was held after its predicted fill stopped fitting";
+  }
+  server->stop();
+}
+
+TEST(Server, CreateRejectsDispatchersAboveTheCap) {
+  es::ServerOptions options;
+  options.dispatchers = es::kMaxDispatchers + 1;
+  auto backend = es::DfgBackend::create(pipe_graph(), pipe_registry());
+  ASSERT_TRUE(backend.has_value());
+  std::vector<std::unique_ptr<es::Backend>> backends;
+  backends.push_back(std::move(*backend));
+  auto server = es::Server::create(std::move(backends), options);
+  ASSERT_FALSE(server.has_value());
+  EXPECT_EQ(server.error().code_enum(), esup::ErrorCode::InvalidArgument);
+  // The cap itself is accepted (created only; no thread is spawned).
+  options.dispatchers = es::kMaxDispatchers;
+  EXPECT_NE(make_pipe_server(options, nullptr), nullptr);
+}
+
+// serve.completed is added once per batch; it and the other serve.* metrics
+// must still count every request.
+TEST(Server, ServeMetricsCountEveryRequest) {
+  eo::TraceRecorder recorder;
+  es::ServerOptions options;
+  options.dispatchers = 1;
+  options.batch.max_batch = 4;
+  auto server = make_pipe_server(options, &recorder);
+  std::vector<std::future<es::Response>> futures;
+  for (int i = 0; i < 6; ++i) {
+    es::Request req;
+    req.tenant = i % 2 == 0 ? "a" : "b";
+    req.inputs["xs"] = {static_cast<double>(i)};
+    auto submitted = server->submit(std::move(req));
+    ASSERT_TRUE(submitted.has_value());
+    futures.push_back(std::move(*submitted));
+  }
+  server->start();
+  server->drain();
+  for (auto &future : futures) ASSERT_TRUE(future.get().status.is_ok());
+  server->stop();
+  std::map<std::string, std::int64_t> counters;
+  for (const auto &[name, value] : recorder.counters()) counters[name] = value;
+  EXPECT_EQ(counters["serve.admitted"], 6);
+  EXPECT_EQ(counters["serve.completed"], 6);
+  EXPECT_EQ(counters["serve.batches"], 2);
+  EXPECT_EQ(counters["serve.failed"], 0);
+  std::map<std::string, std::size_t> histograms;
+  for (const auto &[name, summary] : recorder.histograms()) {
+    histograms[name] = summary.count;
+  }
+  EXPECT_EQ(histograms["serve.batch_size"], 2u);
+  EXPECT_EQ(histograms["serve.latency_us.a"], 3u);
+  EXPECT_EQ(histograms["serve.latency_us.b"], 3u);
+  std::map<std::string, double> gauges;
+  for (const auto &[name, value] : recorder.gauges()) gauges[name] = value;
+  ASSERT_EQ(gauges.count("serve.queue_depth"), 1u);
+  EXPECT_EQ(gauges["serve.queue_depth"], 0.0);
 }

@@ -8,13 +8,21 @@
 //     --requests <file>      request lines: "<tenant> <v1> [v2 ...]"
 //                            ('#' starts a comment); default is a synthetic
 //                            workload of --tenants x --requests-per-tenant
-//     --tenants=<n>          synthetic workload tenant count (default 2)
-//     --requests-per-tenant=<k>  synthetic requests per tenant (default 32)
-//     --max-batch=<b>        dynamic batcher upper bound (default 8)
-//     --max-wait-us=<x>      batch hold time for the oldest request
-//     --dispatchers=<n>      batch-forming/executing threads (default 2)
+//     --tenants=<n>          synthetic workload tenant count, 1..1000
+//                            (default 2)
+//     --requests-per-tenant=<k>  synthetic requests per tenant, 1..1000
+//                            (default 32)
+//     --max-batch=<b>        dynamic batcher upper bound, 1..65536 (default 8)
+//     --max-wait-us=<x>      longest a partial batch is held for the oldest
+//                            request, 0..6e7, and only while the arrival
+//                            rate predicts it fills (default 200)
+//     --dispatchers=<n>      batch-forming/executing threads, 1..256
+//                            (default 2)
 //     --rate=<r> --burst=<b> per-tenant token-bucket admission limit
-//     --queue-bound=<q>      per-tenant queue bound (shed with Unavailable)
+//                            (rate 0..1e9, 0 = unlimited; burst 0..1e9,
+//                            the server raises a burst below 1 to 1)
+//     --queue-bound=<q>      per-tenant queue bound (shed with Unavailable),
+//                            0..2^30 (0 = the server default)
 //     --device               front the host path with a simulated Alveo
 //                            backend (one kernel launch per batch; faults
 //                            fail over to the host-CPU backend)
@@ -24,12 +32,12 @@
 //   basecamp compile <file.ekl>... [options]  compile EKL kernels
 //     --target=<name>        alveo-u55c | alveo-u280 | cloudfpga
 //     --format=<spec>        f64 | f32 | fixed<T,F> | float<E,M> | posit<N,ES>
-//     --replicas=<n>         Olympus kernel replication
+//     --replicas=<n>         Olympus kernel replication, 1..1024
 //     --extent NAME=N        bind an iteration-index extent (repeatable)
 //     --emit=<stage>         frontend | teil | loops | system (print IR)
-//     --jobs=<n>             compile the input kernels across n threads; the
-//                            reports are printed in input order and identical
-//                            to a serial (--jobs=1) run
+//     --jobs=<n>             compile the input kernels across n threads
+//                            (1..256); the reports are printed in input
+//                            order and identical to a serial (--jobs=1) run
 //     --cache-dir=<dir>      content-addressed compile cache: repeat compiles
 //                            of unchanged kernels reuse the stored HLS
 //                            schedule and Olympus system
@@ -51,6 +59,7 @@
 // EKL inputs are bound to deterministic synthetic tensors sized from the
 // declared extents, so any kernel compiles without external data.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -59,6 +68,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include <future>
@@ -81,6 +92,29 @@ namespace {
 
 using everest::sdk::Basecamp;
 using everest::sdk::CompileOptions;
+
+/// Parses the value of a numeric `--flag=value` option strictly: all of it
+/// must be one decimal number in [lo, hi] — no trailing junk, no overflow,
+/// no nan/inf. On failure prints why and returns false; the caller exits 2.
+template <typename T>
+bool parse_flag(const std::string &arg, T lo, T hi, T &out) {
+  auto eq = arg.find('=');
+  std::string value = arg.substr(eq + 1);
+  using Parsed = std::conditional_t<std::is_integral_v<T>, long long, double>;
+  Parsed parsed{};
+  auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), parsed);
+  if (ec == std::errc{} && end == value.data() + value.size() &&
+      parsed >= static_cast<Parsed>(lo) && parsed <= static_cast<Parsed>(hi)) {
+    out = static_cast<T>(parsed);
+    return true;
+  }
+  std::ostringstream bounds;
+  bounds << '[' << lo << ", " << hi << ']';
+  std::fprintf(stderr, "basecamp: invalid %s '%s': expected a number in %s\n",
+               arg.substr(0, eq).c_str(), value.c_str(), bounds.str().c_str());
+  return false;
+}
 
 int cmd_targets(Basecamp &basecamp) {
   for (const char *name : {"alveo-u55c", "alveo-u280", "cloudfpga"}) {
@@ -195,24 +229,25 @@ int cmd_serve(Basecamp &basecamp, int argc, char **argv) {
       requests_file = argv[++i];
     else if (everest::support::starts_with(arg, "--requests="))
       requests_file = arg.substr(11);
-    else if (everest::support::starts_with(arg, "--tenants="))
-      tenants = std::atoi(arg.c_str() + 10);
-    else if (everest::support::starts_with(arg, "--requests-per-tenant="))
-      per_tenant = std::atoi(arg.c_str() + 22);
-    else if (everest::support::starts_with(arg, "--max-batch="))
-      options.batch.max_batch =
-          static_cast<std::size_t>(std::atoi(arg.c_str() + 12));
-    else if (everest::support::starts_with(arg, "--max-wait-us="))
-      options.batch.max_wait_us = std::strtod(arg.c_str() + 14, nullptr);
-    else if (everest::support::starts_with(arg, "--dispatchers="))
-      options.dispatchers = std::atoi(arg.c_str() + 14);
-    else if (everest::support::starts_with(arg, "--rate="))
-      rate = std::strtod(arg.c_str() + 7, nullptr);
-    else if (everest::support::starts_with(arg, "--burst="))
-      burst = std::strtod(arg.c_str() + 8, nullptr);
-    else if (everest::support::starts_with(arg, "--queue-bound="))
-      queue_bound = static_cast<std::size_t>(std::atoi(arg.c_str() + 14));
-    else if (arg == "--device")
+    else if (everest::support::starts_with(arg, "--tenants=")) {
+      if (!parse_flag(arg, 1, 1000, tenants)) return 2;
+    } else if (everest::support::starts_with(arg, "--requests-per-tenant=")) {
+      if (!parse_flag(arg, 1, 1000, per_tenant)) return 2;
+    } else if (everest::support::starts_with(arg, "--max-batch=")) {
+      if (!parse_flag<std::size_t>(arg, 1, 1 << 16, options.batch.max_batch))
+        return 2;
+    } else if (everest::support::starts_with(arg, "--max-wait-us=")) {
+      if (!parse_flag(arg, 0.0, 60e6, options.batch.max_wait_us)) return 2;
+    } else if (everest::support::starts_with(arg, "--dispatchers=")) {
+      if (!parse_flag(arg, 1, es::kMaxDispatchers, options.dispatchers))
+        return 2;
+    } else if (everest::support::starts_with(arg, "--rate=")) {
+      if (!parse_flag(arg, 0.0, 1e9, rate)) return 2;
+    } else if (everest::support::starts_with(arg, "--burst=")) {
+      if (!parse_flag(arg, 0.0, 1e9, burst)) return 2;
+    } else if (everest::support::starts_with(arg, "--queue-bound=")) {
+      if (!parse_flag<std::size_t>(arg, 0, 1 << 30, queue_bound)) return 2;
+    } else if (arg == "--device")
       use_device = true;
     else if (everest::support::starts_with(arg, "--fault-seed=")) {
       fault_seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
@@ -458,13 +493,13 @@ int cmd_compile(Basecamp &basecamp, int argc, char **argv) {
       options.target = arg.substr(9);
     else if (everest::support::starts_with(arg, "--format="))
       options.number_format = arg.substr(9);
-    else if (everest::support::starts_with(arg, "--replicas="))
-      options.olympus.replicas = std::atoi(arg.c_str() + 11);
-    else if (everest::support::starts_with(arg, "--emit="))
+    else if (everest::support::starts_with(arg, "--replicas=")) {
+      if (!parse_flag(arg, 1, 1024, options.olympus.replicas)) return 2;
+    } else if (everest::support::starts_with(arg, "--emit="))
       emit = arg.substr(7);
-    else if (everest::support::starts_with(arg, "--jobs="))
-      jobs = std::atoi(arg.c_str() + 7);
-    else if (everest::support::starts_with(arg, "--cache-dir="))
+    else if (everest::support::starts_with(arg, "--jobs=")) {
+      if (!parse_flag(arg, 1, 256, jobs)) return 2;
+    } else if (everest::support::starts_with(arg, "--cache-dir="))
       cache_dir = arg.substr(12);
     else if (arg == "--run")
       run = true;
