@@ -34,17 +34,17 @@ support::Status PassManager::run_func_pass(Pass &pass, Module &module) {
   funcs.reserve(module.body().size());
   for (Operation &op : module.body()) funcs.push_back(&op);
 
-  // Serial cache phase: fingerprint each func's pre-pass text, splice in
-  // cached post-pass clones on hits, and collect the misses.
+  // Lookup phase: fingerprint each func's pre-pass text, splice in cached
+  // post-pass clones on hits, and collect the misses.
   std::vector<Operation *> pending;
   std::vector<std::uint64_t> pending_keys;
   if (pass_cache_ != nullptr) {
     for (Operation *func : funcs) {
       std::uint64_t key = pass_fingerprint(pass.name(), func->str());
-      if (const Operation *cached = pass_cache_->lookup(key)) {
+      if (auto cached = pass_cache_->lookup(key)) {
         ++cache_stats_.hits;
         Block &body = module.body();
-        clone_op_into(*cached, body, func);
+        clone_op_into(cached->body().front(), body, func);
         body.erase(func);
       } else {
         ++cache_stats_.misses;
@@ -56,19 +56,13 @@ support::Status PassManager::run_func_pass(Pass &pass, Module &module) {
     pending = funcs;
   }
 
-  // Parallel phase: run the pass on every miss. Each invocation only touches
-  // IR nested under its func; creation goes through the mutex-guarded module
-  // arena, and results merge in index order, so the output is byte-identical
-  // to the serial run.
-  std::vector<support::Status> statuses = support::parallel_indexed(
-      pool_, pending.size(), [&](std::size_t i) -> support::Status {
-        return pass.run_on_func(*pending[i], ctx_);
-      });
-  for (const auto &status : statuses) {
-    if (!status.is_ok()) return status;
+  // Run the pass on every miss, in module order.
+  for (Operation *func : pending) {
+    if (auto status = pass.run_on_func(*func, ctx_); !status.is_ok())
+      return status;
   }
 
-  // Serial store phase: memoize post-pass forms under the pre-pass keys.
+  // Store phase: memoize post-pass forms under the pre-pass keys.
   if (pass_cache_ != nullptr) {
     for (std::size_t i = 0; i < pending.size(); ++i)
       pass_cache_->store(pending_keys[i], *pending[i]);

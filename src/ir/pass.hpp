@@ -6,11 +6,11 @@
 //
 // Anchoring (paper §V-B; MLIR-lineage pass managers work the same way):
 //  - Module-scoped passes see the whole module and run serially.
-//  - Func-scoped passes run once per top-level op of the module body and may
-//    only mutate IR nested under that op. The pass manager fans them out on
-//    a support::ThreadPool; because each invocation is confined to its own
-//    func and ops are created on the (mutex-guarded) module arena, the
-//    parallel run is byte-identical to the serial one.
+//  - Func-scoped passes run once per top-level op of the module body, in
+//    module order, and may only mutate IR nested under that op.
+// Passes run on the caller's thread. Compile-time parallelism comes from
+// sdk::Basecamp::compile_many, which compiles one kernel per worker, each
+// in its own modules.
 //
 // Func-scoped passes can additionally be memoized through a PassCache: the
 // pre-pass func text is fingerprinted per pass, and on a hit the cached
@@ -30,7 +30,6 @@
 #include "ir/ir.hpp"
 #include "obs/trace.hpp"
 #include "support/expected.hpp"
-#include "support/thread_pool.hpp"
 
 namespace everest::ir {
 
@@ -51,8 +50,7 @@ public:
 
   /// Module-anchored entry point.
   virtual support::Status run(Module &module, Context &ctx);
-  /// Func-anchored entry point. Must only mutate IR nested under `func`
-  /// (the pass manager may invoke it from worker threads).
+  /// Func-anchored entry point. Must only mutate IR nested under `func`.
   virtual support::Status run_on_func(Operation &func, Context &ctx);
 
 private:
@@ -98,15 +96,16 @@ struct PassTiming {
 
 /// Incremental memo for func-anchored passes, keyed by
 /// `pass_fingerprint(pass name, pre-pass func text)`. Implementations must
-/// be thread-compatible with the pass manager's serial lookup/store phases
-/// and safe to share across pass managers (sdk::CompileCache provides the
-/// production implementation; it locks internally). A returned op pointer
-/// stays valid until the next `store`/eviction on the same cache.
+/// be safe to share across pass managers on different threads
+/// (sdk::PassResultCache is the production implementation; it locks
+/// internally).
 class PassCache {
 public:
   virtual ~PassCache() = default;
-  /// The cached post-pass func for `key`, or nullptr on miss.
-  virtual const Operation *lookup(std::uint64_t key) = 0;
+  /// The cached post-pass func for `key` as the sole op of a read-only
+  /// master module, or nullptr on miss. The caller's reference keeps the
+  /// master alive across later stores and evictions.
+  virtual std::shared_ptr<const Module> lookup(std::uint64_t key) = 0;
   /// Memoizes the post-pass func under `key` (the implementation clones).
   virtual void store(std::uint64_t key, const Operation &func) = 0;
 };
@@ -142,10 +141,6 @@ public:
   /// none is attached; spans are skipped when neither exists.
   void attach_recorder(obs::TraceRecorder *recorder) { recorder_ = recorder; }
 
-  /// Fans func-anchored passes out across `pool` (nullptr or a one-worker
-  /// pool runs them inline). Output is byte-identical either way.
-  void set_thread_pool(support::ThreadPool *pool) { pool_ = pool; }
-
   /// Attaches the per-pass incremental cache used for func-anchored passes.
   void set_pass_cache(PassCache *cache) { pass_cache_ = cache; }
 
@@ -170,7 +165,6 @@ private:
   Context &ctx_;
   bool verify_each_;
   obs::TraceRecorder *recorder_ = nullptr;
-  support::ThreadPool *pool_ = nullptr;
   PassCache *pass_cache_ = nullptr;
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<PassTiming> timings_;

@@ -1,7 +1,7 @@
 // Arena / IR-ownership lifetime tests: bump allocation, destructor records,
 // erase -> tombstone semantics, address stability, bulk reset, and clone
-// fidelity. These are the invariants the parallel pass manager and the
-// rewrite drivers rely on, so they also run under the asan preset
+// fidelity. These are the invariants the pass manager, the per-pass cache
+// and the rewrite drivers rely on, so they also run under the asan preset
 // (-fsanitize=address,undefined) where a stale pointer would abort.
 
 #include <gtest/gtest.h>

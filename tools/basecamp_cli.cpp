@@ -33,7 +33,8 @@
 //     --target=<name>        alveo-u55c | alveo-u280 | cloudfpga
 //     --format=<spec>        f64 | f32 | fixed<T,F> | float<E,M> | posit<N,ES>
 //     --replicas=<n>         Olympus kernel replication, 1..1024
-//     --extent NAME=N        bind an iteration-index extent (repeatable)
+//     --extent NAME=N        bind an iteration-index extent, 1..2^20
+//                            (repeatable)
 //     --emit=<stage>         frontend | teil | loops | system (print IR)
 //     --jobs=<n>             compile the input kernels across n threads
 //                            (1..256); the reports are printed in input
@@ -43,14 +44,17 @@
 //                            schedule and Olympus system
 //     --run                  deploy on the target device model
 //     --fault-seed=<n>       enable deterministic fault injection on the
-//                            device run; the same seed reproduces the same
-//                            faults (and the same trace) bit-for-bit
+//                            device run (n: 0..2^64-1); the same seed
+//                            reproduces the same faults (and the same
+//                            trace) bit-for-bit
 //     --fault-plan=<spec>    fault rates, e.g. transfer=0.2,timeout=0.1,
 //                            alloc=0.05,timeout-mult=8 (see
 //                            platform/fault_injector.hpp for all keys)
-//     --retry=<n>            attempt budget for transient device faults
-//                            (exponential backoff with deterministic jitter)
-//     --deadline-us=<x>      fail (and retry) device runs that exceed x us
+//     --retry=<n>            attempt budget for transient device faults,
+//                            1..1000 (exponential backoff with deterministic
+//                            jitter)
+//     --deadline-us=<x>      fail (and retry) device runs that exceed x us,
+//                            0..1e12
 //     --trace-out <file>     write a Chrome trace_event JSON of the compile
 //                            (and device run) — open in chrome://tracing or
 //                            https://ui.perfetto.dev; also prints the span
@@ -64,6 +68,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -100,7 +105,10 @@ template <typename T>
 bool parse_flag(const std::string &arg, T lo, T hi, T &out) {
   auto eq = arg.find('=');
   std::string value = arg.substr(eq + 1);
-  using Parsed = std::conditional_t<std::is_integral_v<T>, long long, double>;
+  using Parsed = std::conditional_t<
+      std::is_integral_v<T>,
+      std::conditional_t<std::is_signed_v<T>, long long, unsigned long long>,
+      double>;
   Parsed parsed{};
   auto [end, ec] =
       std::from_chars(value.data(), value.data() + value.size(), parsed);
@@ -115,6 +123,8 @@ bool parse_flag(const std::string &arg, T lo, T hi, T &out) {
                arg.substr(0, eq).c_str(), value.c_str(), bounds.str().c_str());
   return false;
 }
+
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
 int cmd_targets(Basecamp &basecamp) {
   for (const char *name : {"alveo-u55c", "alveo-u280", "cloudfpga"}) {
@@ -250,7 +260,7 @@ int cmd_serve(Basecamp &basecamp, int argc, char **argv) {
     } else if (arg == "--device")
       use_device = true;
     else if (everest::support::starts_with(arg, "--fault-seed=")) {
-      fault_seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
+      if (!parse_flag(arg, std::uint64_t{0}, kMaxSeed, fault_seed)) return 2;
       fault_inject = true;
       use_device = true;
     } else if (everest::support::starts_with(arg, "--fault-plan=")) {
@@ -504,23 +514,33 @@ int cmd_compile(Basecamp &basecamp, int argc, char **argv) {
     else if (arg == "--run")
       run = true;
     else if (everest::support::starts_with(arg, "--fault-seed=")) {
-      fault_seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
+      if (!parse_flag(arg, std::uint64_t{0}, kMaxSeed, fault_seed)) return 2;
       fault_inject = true;
     } else if (everest::support::starts_with(arg, "--fault-plan=")) {
       fault_plan_spec = arg.substr(13);
       fault_inject = true;
-    } else if (everest::support::starts_with(arg, "--retry="))
-      policy.retry.max_attempts = std::atoi(arg.c_str() + 8);
-    else if (everest::support::starts_with(arg, "--deadline-us="))
-      policy.deadline.deadline_us = std::strtod(arg.c_str() + 14, nullptr);
-    else if (everest::support::starts_with(arg, "--trace-out="))
+    } else if (everest::support::starts_with(arg, "--retry=")) {
+      if (!parse_flag(arg, 1, 1000, policy.retry.max_attempts)) return 2;
+    } else if (everest::support::starts_with(arg, "--deadline-us=")) {
+      if (!parse_flag(arg, 0.0, 1e12, policy.deadline.deadline_us)) return 2;
+    } else if (everest::support::starts_with(arg, "--trace-out="))
       trace_out = arg.substr(12);
     else if (arg == "--trace-out" && i + 1 < argc)
       trace_out = argv[++i];
     else if (arg == "--extent" && i + 1 < argc) {
-      auto kv = everest::support::split(argv[++i], '=');
-      if (kv.size() == 2)
-        extents[kv[0]] = std::strtoll(kv[1].c_str(), nullptr, 10);
+      std::string spec = argv[++i];
+      auto eq = spec.find('=');
+      if (eq == 0 || eq == std::string::npos) {
+        std::fprintf(stderr,
+                     "basecamp: invalid --extent '%s': expected NAME=N\n",
+                     spec.c_str());
+        return 2;
+      }
+      std::int64_t extent = 0;
+      if (!parse_flag<std::int64_t>("--extent=" + spec.substr(eq + 1), 1,
+                                    std::int64_t{1} << 20, extent))
+        return 2;
+      extents[spec.substr(0, eq)] = extent;
     } else if (!everest::support::starts_with(arg, "--")) {
       files.push_back(arg);
     } else {
