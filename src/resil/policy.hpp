@@ -68,6 +68,8 @@ public:
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] int consecutive_failures() const { return failures_; }
+  /// When an Open breaker half-opens (meaningless in other states).
+  [[nodiscard]] double open_until_us() const { return open_until_us_; }
 
 private:
   Options options_;

@@ -1,5 +1,7 @@
 #include "serve/backend.hpp"
 
+#include <algorithm>
+
 namespace everest::serve {
 
 support::Expected<std::unique_ptr<DfgBackend>> DfgBackend::create(
@@ -99,19 +101,47 @@ support::Expected<std::map<std::string, runtime::Stream>> DfgBackend::run_batch(
   return outputs;
 }
 
+DeviceBackend::DeviceBackend(std::string name,
+                             std::vector<platform::Device *> devices,
+                             std::string kernel,
+                             std::unique_ptr<DfgBackend> compute,
+                             double launch_deadline_us)
+    : kernel_(std::move(kernel)), compute_(std::move(compute)),
+      launch_deadline_us_(launch_deadline_us), name_(std::move(name)) {
+  ring_.reserve(devices.size());
+  for (platform::Device *device : devices) ring_.push_back({device, {}});
+}
+
 support::Expected<std::unique_ptr<DeviceBackend>> DeviceBackend::create(
     platform::Device *device, std::string kernel,
     std::unique_ptr<DfgBackend> compute, double launch_deadline_us) {
   if (device == nullptr) {
     return support::Error::invalid_argument("serve: null device");
   }
+  return create(device->spec().name, {device}, std::move(kernel),
+                std::move(compute), launch_deadline_us);
+}
+
+support::Expected<std::unique_ptr<DeviceBackend>> DeviceBackend::create(
+    std::string name, std::vector<platform::Device *> devices,
+    std::string kernel, std::unique_ptr<DfgBackend> compute,
+    double launch_deadline_us) {
+  if (devices.empty()) {
+    return support::Error::invalid_argument(
+        "serve: DeviceBackend needs at least one device");
+  }
+  for (const platform::Device *device : devices) {
+    if (device == nullptr) {
+      return support::Error::invalid_argument("serve: null device");
+    }
+  }
   if (!compute) {
     return support::Error::invalid_argument(
         "serve: DeviceBackend needs a compute backend for functional results");
   }
   return std::unique_ptr<DeviceBackend>(
-      new DeviceBackend(device, std::move(kernel), std::move(compute),
-                        launch_deadline_us));
+      new DeviceBackend(std::move(name), std::move(devices), std::move(kernel),
+                        std::move(compute), launch_deadline_us));
 }
 
 support::Expected<std::map<std::string, runtime::Stream>>
@@ -121,12 +151,60 @@ DeviceBackend::run_batch(const std::map<std::string, runtime::Stream> &inputs) {
     // buys, and the hook where injected device faults (DMA flakes, hung
     // kernels) surface as retryable errors.
     std::lock_guard<std::mutex> lock(launch_mu_);
-    auto launch = device_->run(kernel_, /*dataflow=*/true, launch_deadline_us_);
-    if (!launch) {
-      return launch.error().with_context("serve: launch on " + name_);
+    double ring_now = 0.0;
+    for (const Replica &r : ring_) {
+      ring_now = std::max(ring_now, r.device->now_us());
     }
+    // The next device whose breaker admits the launch; if none does, probe
+    // the one whose cooldown ends first instead of refusing the batch.
+    std::size_t pick = ring_.size();
+    std::size_t probe = 0;
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      std::size_t d = (next_ + i) % ring_.size();
+      if (ring_[d].breaker.allow(ring_now)) {
+        pick = d;
+        break;
+      }
+      if (ring_[d].breaker.open_until_us() <
+          ring_[probe].breaker.open_until_us()) {
+        probe = d;
+      }
+    }
+    if (pick == ring_.size()) pick = probe;
+    next_ = (pick + 1) % ring_.size();
+    Replica &replica = ring_[pick];
+    auto launch =
+        replica.device->run(kernel_, /*dataflow=*/true, launch_deadline_us_);
+    if (!launch) {
+      replica.breaker.on_failure(
+          std::max(ring_now, replica.device->now_us()));
+      return launch.error().with_context("serve: launch on " +
+                                         replica.device->spec().name);
+    }
+    replica.breaker.on_success();
   }
   return compute_->run_batch(inputs);
+}
+
+void DeviceBackend::add_replica(platform::Device *device) {
+  std::lock_guard<std::mutex> lock(launch_mu_);
+  ring_.push_back({device, {}});
+}
+
+support::Expected<platform::Device *> DeviceBackend::remove_replica() {
+  std::lock_guard<std::mutex> lock(launch_mu_);
+  if (ring_.size() <= 1) {
+    return support::Error::unavailable(
+        "serve: cannot remove the last device of '" + name_ + "'");
+  }
+  platform::Device *device = ring_.back().device;
+  ring_.pop_back();
+  return device;
+}
+
+std::size_t DeviceBackend::replicas() const {
+  std::lock_guard<std::mutex> lock(launch_mu_);
+  return ring_.size();
 }
 
 }  // namespace everest::serve

@@ -4,12 +4,14 @@
 // concatenation of several requests' input records into streams — through
 // the serving graph and returns the output streams. DfgBackend is the
 // host-CPU path (the deterministic dfg executor); DeviceBackend fronts a
-// simulated FPGA device: it charges the batch launch to the device's clock
-// (amortizing one kernel launch over the whole batch, surfacing injected
-// device faults) and delegates the functional computation to an inner
-// DfgBackend. The Server fails over across its backend list in order, so
-// [DeviceBackend, DfgBackend] is "FPGA first, host CPU as the degraded
-// fallback".
+// ring of one or more simulated FPGA devices (a card, or a node's SR-IOV
+// virtual functions): it charges each batch as one launch on the next
+// healthy device in round-robin order (amortizing one kernel launch over the
+// whole batch, surfacing injected device faults) and delegates the
+// functional computation to an inner DfgBackend. The Server is the one
+// failover loop: it retries a failed batch (landing on the ring's next
+// device) and then moves down its backend list, so [DeviceBackend,
+// DfgBackend] is "FPGA first, host CPU as the degraded fallback".
 #pragma once
 
 #include <memory>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "platform/xrt.hpp"
+#include "resil/policy.hpp"
 #include "runtime/dfg_executor.hpp"
 #include "support/expected.hpp"
 
@@ -81,19 +84,33 @@ private:
   bool has_fold_ = false;
 };
 
-/// FPGA backend: one simulated kernel launch per batch (this is where
-/// batching pays — launch and DMA overheads amortize across the batch),
-/// functional results computed by the wrapped host backend so batched and
-/// unbatched outputs stay byte-identical. Device faults injected into the
-/// launch surface as retryable errors. The device's simulated clock is not
-/// thread-safe, so launches are serialized internally.
+/// FPGA backend over a ring of devices: one simulated kernel launch per
+/// batch (this is where batching pays — launch and DMA overheads amortize
+/// across the batch), functional results computed by the wrapped host
+/// backend so batched, unbatched and any-device outputs stay byte-identical.
+///
+/// Launches rotate round-robin over the ring, skipping a device while its
+/// circuit breaker is open; when every breaker is open the device whose
+/// cooldown ends first is probed rather than the batch refused. Breakers run
+/// on the ring clock (the latest of the ring's simulated device clocks), so
+/// a skipped device's cooldown still elapses. A failed launch returns its
+/// error code unchanged: the Server's retry lands on the next device. The
+/// simulated clocks are not thread-safe, so launches and ring membership
+/// changes serialize on one mutex — a device handed back by
+/// remove_replica() has no launch in flight and may be destroyed at once.
 class DeviceBackend final : public Backend {
 public:
   /// `kernel` must already be loaded on `device`. `launch_deadline_us` is
-  /// the per-launch watchdog passed to Device::run (< 0 disables).
+  /// the per-launch watchdog passed to Device::run (< 0 disables). The
+  /// backend is named after the device.
   static support::Expected<std::unique_ptr<DeviceBackend>> create(
       platform::Device *device, std::string kernel,
       std::unique_ptr<DfgBackend> compute, double launch_deadline_us = -1.0);
+  /// A named ring over `devices` (at least one, `kernel` loaded on each).
+  static support::Expected<std::unique_ptr<DeviceBackend>> create(
+      std::string name, std::vector<platform::Device *> devices,
+      std::string kernel, std::unique_ptr<DfgBackend> compute,
+      double launch_deadline_us = -1.0);
 
   [[nodiscard]] const std::string &name() const override { return name_; }
   [[nodiscard]] const std::vector<std::string> &input_names() const override {
@@ -103,20 +120,31 @@ public:
   support::Expected<std::map<std::string, runtime::Stream>> run_batch(
       const std::map<std::string, runtime::Stream> &inputs) override;
 
-private:
-  DeviceBackend(platform::Device *device, std::string kernel,
-                std::unique_ptr<DfgBackend> compute, double launch_deadline_us)
-      : device_(device), kernel_(std::move(kernel)),
-        compute_(std::move(compute)),
-        launch_deadline_us_(launch_deadline_us),
-        name_(device->spec().name) {}
+  /// Hot-plug: appends a device (kernel already loaded) with a closed
+  /// breaker. The caller keeps ownership.
+  void add_replica(platform::Device *device);
+  /// Removes the most recently added device and returns it; fails rather
+  /// than empty the ring.
+  support::Expected<platform::Device *> remove_replica();
+  [[nodiscard]] std::size_t replicas() const;
 
-  platform::Device *device_;
+private:
+  struct Replica {
+    platform::Device *device;
+    resil::CircuitBreaker breaker;
+  };
+
+  DeviceBackend(std::string name, std::vector<platform::Device *> devices,
+                std::string kernel, std::unique_ptr<DfgBackend> compute,
+                double launch_deadline_us);
+
   std::string kernel_;
   std::unique_ptr<DfgBackend> compute_;
   double launch_deadline_us_;
   std::string name_;
-  std::mutex launch_mu_;
+  mutable std::mutex launch_mu_;
+  std::vector<Replica> ring_;  // guarded by launch_mu_
+  std::size_t next_ = 0;       // round-robin cursor, guarded by launch_mu_
 };
 
 }  // namespace everest::serve

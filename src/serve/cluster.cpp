@@ -28,18 +28,6 @@ std::uint64_t fnv1a(const std::string &s) {
   return h;
 }
 
-resil::FailoverOptions vf_group_options(const ClusterOptions &options) {
-  resil::FailoverOptions vf = options.vf_failover;
-  // The replica ring exists to spread launches, and the host-CPU fallback
-  // belongs to the Server's backend chain (where it is accounted as a
-  // degraded backend), not to the launch group.
-  vf.placement = resil::FailoverOptions::Placement::RoundRobin;
-  vf.host_fallback_us = -1.0;
-  if (options.launch_deadline_us >= 0.0)
-    vf.deadline.deadline_us = options.launch_deadline_us;
-  return vf;
-}
-
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -80,31 +68,6 @@ std::vector<int> HashRing::replicas(const std::string &tenant,
 }
 
 // --------------------------------------------------------------------------
-// ElasticDeviceBackend
-
-ElasticDeviceBackend::ElasticDeviceBackend(
-    std::string name, std::vector<platform::Device *> devices,
-    std::string kernel, std::unique_ptr<DfgBackend> compute,
-    resil::FailoverOptions options, obs::TraceRecorder *recorder)
-    : name_(std::move(name)),
-      kernel_(std::move(kernel)),
-      group_(std::move(devices), std::move(options), recorder),
-      compute_(std::move(compute)) {}
-
-Expected<std::map<std::string, runtime::Stream>>
-ElasticDeviceBackend::run_batch(
-    const std::map<std::string, runtime::Stream> &inputs) {
-  // One launch per batch, placed round-robin over the plugged VFs; the
-  // error code (and hence retryability) of a failed launch is preserved so
-  // the Server's per-backend retry/breaker policy sees the real fault.
-  auto launch = group_.run(kernel_, /*dataflow=*/true);
-  if (!launch)
-    return launch.error().with_context("serve: elastic backend '" + name_ +
-                                       "'");
-  return compute_->run_batch(inputs);
-}
-
-// --------------------------------------------------------------------------
 // Cluster
 
 struct Cluster::Node {
@@ -117,12 +80,12 @@ struct Cluster::Node {
   std::unique_ptr<obs::TraceRecorder> recorder;
   std::unique_ptr<virt::VirtNode> virt;
   virt::VmId vm = -1;
-  /// Attach-ordered, parallel to the elastic backend's replica ring: the
-  /// ring removes from the back, so vfs.back()/devices.back() is always the
+  /// Attach-ordered, parallel to the device backend's ring: the ring
+  /// removes from the back, so vfs.back()/devices.back() is always the
   /// replica a scale-down unplugs.
   std::vector<virt::VfHandle> vfs;
   std::vector<platform::Device *> devices;
-  ElasticDeviceBackend *elastic = nullptr;  // owned by server's backend list
+  DeviceBackend *fpga = nullptr;  // owned by server's backend list
   std::unique_ptr<Server> server;
   resil::CircuitBreaker breaker;
   std::int64_t routed = 0;
@@ -198,13 +161,14 @@ Expected<std::unique_ptr<Cluster>> Cluster::create(
     if (!host)
       return host.error().with_context("serve: cluster " + node->name);
 
-    auto elastic = std::make_unique<ElasticDeviceBackend>(
-        node->name + "-fpga", node->devices, opt.kernel, std::move(*compute),
-        vf_group_options(opt), node->recorder.get());
-    node->elastic = elastic.get();
+    auto fpga = DeviceBackend::create(node->name + "-fpga", node->devices,
+                                      opt.kernel, std::move(*compute),
+                                      opt.launch_deadline_us);
+    if (!fpga) return fpga.error().with_context("serve: cluster " + node->name);
+    node->fpga = fpga->get();
 
     std::vector<std::unique_ptr<Backend>> backends;
-    backends.push_back(std::move(elastic));
+    backends.push_back(std::move(*fpga));
     backends.push_back(std::move(*host));
     auto server = Server::create(std::move(backends), opt.server,
                                  node->recorder.get());
@@ -311,7 +275,7 @@ AutoscaleReport Cluster::autoscale() {
       }
       node.vfs.push_back(*handle);
       node.devices.push_back(*device);
-      node.elastic->add_replica(*device);
+      node.fpga->add_replica(*device);
       ++report.attached;
       ++scale_ups_;
       if (recorder_) recorder_->counter("cluster.scale_up").add(1);
@@ -319,7 +283,7 @@ AutoscaleReport Cluster::autoscale() {
       // Remove from the launch ring first — that serializes against
       // in-flight launches — and only then unplug the VF, which destroys
       // the Device.
-      auto removed = node.elastic->remove_replica();
+      auto removed = node.fpga->remove_replica();
       if (!removed) continue;
       node.virt->detach_vf(node.vm, node.vfs.back());
       node.vfs.pop_back();

@@ -9,10 +9,12 @@
 // replica nodes when the primary is backlogged — with the forward priced
 // through the ZRLMPI/cloudFPGA network model, so the PCIe-vs-10Gb latency
 // asymmetry genuinely shapes routing — and fails over across replicas when
-// a node sheds (per-node resil::CircuitBreaker). Elastic capacity comes
-// from everest::virt: each node's FPGA replica set is a group of SR-IOV
-// virtual functions hot-plugged in and out by autoscale(), driven by the
-// node's serve.queue_depth gauge.
+// a node sheds (per-node resil::CircuitBreaker). Each node's Server chain is
+// [DeviceBackend over the node's VFs, host-cpu]: the ring spreads batch
+// launches round-robin across the VFs and the Server's retry carries a
+// failed launch to the next VF, then to the host. Elastic capacity comes
+// from everest::virt: the ring's SR-IOV virtual functions are hot-plugged in
+// and out by autoscale(), driven by the node's serve.queue_depth gauge.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,6 @@
 #include "obs/trace.hpp"
 #include "platform/device.hpp"
 #include "platform/network.hpp"
-#include "resil/failover.hpp"
 #include "serve/backend.hpp"
 #include "serve/server.hpp"
 #include "virt/virt.hpp"
@@ -54,51 +55,6 @@ private:
   std::vector<std::pair<std::uint64_t, int>> ring_;  // sorted (hash, node)
 };
 
-/// FPGA backend over an elastic replica set of SR-IOV virtual functions.
-/// Every batch is one simulated kernel launch placed by a thread-safe
-/// resil::FailoverGroup in RoundRobin rotation (plugged capacity spreads
-/// load; injected faults fail over to the next VF in ring order), then the
-/// functional result is computed by the wrapped host backend so batched,
-/// unbatched, and any-replica outputs stay byte-identical.
-class ElasticDeviceBackend final : public Backend {
-public:
-  /// `devices` are VF devices with `kernel` already loaded; the caller
-  /// (Cluster) keeps ownership of the devices themselves.
-  ElasticDeviceBackend(std::string name,
-                       std::vector<platform::Device *> devices,
-                       std::string kernel,
-                       std::unique_ptr<DfgBackend> compute,
-                       resil::FailoverOptions options,
-                       obs::TraceRecorder *recorder = nullptr);
-
-  [[nodiscard]] const std::string &name() const override { return name_; }
-  [[nodiscard]] const std::vector<std::string> &input_names() const override {
-    return compute_->input_names();
-  }
-
-  support::Expected<std::map<std::string, runtime::Stream>> run_batch(
-      const std::map<std::string, runtime::Stream> &inputs) override;
-
-  /// VF hot-plug: grows/shrinks the replica ring. remove_replica() returns
-  /// the removed device so the owner can detach its VF; it fails rather
-  /// than empty the ring.
-  void add_replica(platform::Device *device) { group_.add_device(device); }
-  support::Expected<platform::Device *> remove_replica() {
-    return group_.remove_last_device();
-  }
-
-  [[nodiscard]] std::size_t replicas() const { return group_.size(); }
-  [[nodiscard]] resil::FailoverStats launch_stats() const {
-    return group_.stats();
-  }
-
-private:
-  std::string name_;
-  std::string kernel_;
-  resil::FailoverGroup group_;
-  std::unique_ptr<DfgBackend> compute_;
-};
-
 struct ClusterOptions {
   /// Simulated nodes behind the front door.
   int nodes = 2;
@@ -122,9 +78,6 @@ struct ClusterOptions {
   std::string kernel = "serve-graph";
   std::int64_t kernel_cycles = 2'000;
   double launch_deadline_us = -1.0;
-  /// Per-node VF replica-group policy (placement is forced to RoundRobin;
-  /// host fallback stays with the Server's backend chain).
-  resil::FailoverOptions vf_failover;
   /// The 10 Gb data-center fabric forwarding rides on, and the payload a
   /// forwarded request carries (request out + response back are priced).
   platform::NetworkSpec network;

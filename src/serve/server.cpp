@@ -312,7 +312,8 @@ void Server::execute_batch(std::vector<PendingRequest> batch,
     span->arg("tenants", std::to_string(tenants_in_batch.size()));
   }
 
-  // Backend chain: breaker gate -> retry policy -> next backend on failure.
+  // The one failover loop: breaker gate -> retry policy (a DeviceBackend
+  // ring places each attempt on its next device) -> next backend.
   std::map<std::string, runtime::Stream> outputs;
   bool ok = false;
   std::size_t used_backend = 0;
@@ -333,31 +334,28 @@ void Server::execute_batch(std::vector<PendingRequest> batch,
         continue;
       }
     }
-    auto result = resil::with_retry(
-        options_.retry, [&] { return backends_[i]->run_batch(inputs); },
-        wall_wait, recorder_, "serve." + backends_[i]->name());
+    // A malformed result (wrong stream lengths) is a backend failure like
+    // any other: it must not fan garbage out to the clients, it trips the
+    // breaker so a persistently malformed backend stops being tried first on
+    // every batch, and the batch fails over to the next backend.
+    auto attempt =
+        [&]() -> support::Expected<std::map<std::string, runtime::Stream>> {
+      auto result = backends_[i]->run_batch(inputs);
+      if (!result) return result;
+      for (const auto &[name, stream] : *result) {
+        if (stream.size() != batch.size()) {
+          return support::Error::internal(
+              "serve: backend '" + backends_[i]->name() +
+              "' returned streams whose length differs from the batch size");
+        }
+      }
+      return result;
+    };
+    auto result = resil::with_retry(options_.retry, attempt, wall_wait,
+                                    recorder_, "serve." + backends_[i]->name());
     std::lock_guard<std::mutex> lock(mu_);
     if (result) {
       breakers_[i].on_success();
-      // A malformed backend (wrong stream lengths) must not fan garbage out
-      // to the clients.
-      bool shape_ok = true;
-      for (const auto &[name, stream] : *result) {
-        if (stream.size() != batch.size()) shape_ok = false;
-      }
-      if (!shape_ok) {
-        // A malformed result is a backend failure like any other: trip the
-        // breaker so a persistently malformed backend stops being retried
-        // first on every batch, and fail over to the next backend.
-        breakers_[i].on_failure(clock_.now_us());
-        last_error = support::Error::internal(
-            "serve: backend '" + backends_[i]->name() +
-            "' returned streams whose length differs from the batch size");
-        if (recorder_ && i + 1 < backends_.size()) {
-          recorder_->counter("serve.failover").add(1);
-        }
-        continue;
-      }
       outputs = std::move(*result);
       ok = true;
       used_backend = i;

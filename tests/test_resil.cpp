@@ -1,7 +1,7 @@
 // Tests for deterministic fault injection and the resilience policies that
 // recover from it: the platform::FaultInjector oracle, coded retryable
 // errors from the device/network models, retry/backoff, deadlines, circuit
-// breakers, device failover, checkpointed dfg restart — and the acceptance
+// breakers, checkpointed dfg restart — and the acceptance
 // property that a faulted run under a fixed seed is bit-reproducible
 // (identical traces, identical outputs) while still completing correctly.
 
@@ -21,7 +21,6 @@
 #include "platform/fault_injector.hpp"
 #include "platform/network.hpp"
 #include "platform/xrt.hpp"
-#include "resil/failover.hpp"
 #include "resil/fault.hpp"
 #include "resil/policy.hpp"
 #include "runtime/dfg_executor.hpp"
@@ -347,93 +346,6 @@ TEST(CircuitBreaker, HalfOpenFailureReopens) {
   EXPECT_EQ(breaker.state(), rs::CircuitBreaker::State::Open);
   EXPECT_FALSE(breaker.allow(2'500.0));
   EXPECT_TRUE(breaker.allow(3'100.0));
-}
-
-// ----------------------------------------------------------------- failover
-
-namespace {
-
-/// Primary device wired to always hang its kernels; clean backup.
-struct FailoverRig {
-  ep::FaultInjector inj{3, [] {
-    ep::FaultPlan p;
-    p.kernel_timeout_rate = 1.0;
-    return p;
-  }()};
-  ep::Device primary{ep::alveo_u55c()};
-  ep::Device backup{ep::alveo_u280()};
-
-  FailoverRig() {
-    EXPECT_TRUE(primary.load_kernel("k", tiny_kernel("k", 3000)).is_ok());
-    EXPECT_TRUE(backup.load_kernel("k", tiny_kernel("k", 3000)).is_ok());
-    primary.attach_fault_injector(&inj);
-  }
-
-  rs::FailoverOptions options() const {
-    rs::FailoverOptions o;
-    o.retry.max_attempts = 2;
-    // Clean latency is 10 us at 300 MHz; a hung launch needs 80 us.
-    o.deadline.deadline_us = 20.0;
-    return o;
-  }
-};
-
-}  // namespace
-
-TEST(Failover, FailsOverToTheBackupDevice) {
-  FailoverRig rig;
-  eo::TraceRecorder recorder;
-  rs::FailoverGroup group({&rig.primary, &rig.backup}, rig.options(),
-                          &recorder);
-  auto outcome = group.run("k");
-  ASSERT_TRUE(outcome.has_value()) << outcome.error().message;
-  EXPECT_EQ(outcome->executed_on, rig.backup.spec().name);
-  EXPECT_TRUE(outcome->degraded);
-  EXPECT_EQ(outcome->attempts, 3);  // 2 on the primary + 1 on the backup
-  EXPECT_EQ(group.stats().failover_runs, 1);
-  EXPECT_EQ(group.stats().primary_runs, 0);
-  EXPECT_EQ(recorder.counter("resil.failover.runs").value(), 1);
-}
-
-TEST(Failover, FallsBackToHostWhenEveryDeviceFails) {
-  FailoverRig rig;
-  rig.backup.attach_fault_injector(&rig.inj);  // backup hangs too
-  auto options = rig.options();
-  options.host_fallback_us = 123.0;
-  rs::FailoverGroup group({&rig.primary, &rig.backup}, options);
-  auto outcome = group.run("k");
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->executed_on, "host-cpu");
-  EXPECT_DOUBLE_EQ(outcome->latency_us, 123.0);
-  EXPECT_TRUE(outcome->degraded);
-  EXPECT_EQ(group.stats().host_fallback_runs, 1);
-}
-
-TEST(Failover, PropagatesTheLastErrorWithoutAFallback) {
-  FailoverRig rig;
-  rig.backup.attach_fault_injector(&rig.inj);
-  rs::FailoverGroup group({&rig.primary, &rig.backup}, rig.options());
-  auto outcome = group.run("k");
-  ASSERT_FALSE(outcome.has_value());
-  EXPECT_EQ(outcome.error().code_enum(), su::ErrorCode::DeadlineExceeded);
-  EXPECT_NE(outcome.error().message.find("failed on every device"),
-            std::string::npos);
-}
-
-TEST(Failover, BreakerShedsARepeatedlyFailingPrimary) {
-  FailoverRig rig;
-  auto options = rig.options();
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_us = 1e9;  // stays open for the whole test
-  rs::FailoverGroup group({&rig.primary, &rig.backup}, options);
-  for (int i = 0; i < 4; ++i) {
-    auto outcome = group.run("k");
-    ASSERT_TRUE(outcome.has_value());
-    EXPECT_TRUE(outcome->degraded);
-  }
-  // Two launches trip the threshold; later runs skip the primary outright.
-  EXPECT_GT(group.stats().breaker_rejections, 0);
-  EXPECT_EQ(group.breaker_state(0), rs::CircuitBreaker::State::Open);
 }
 
 // ----------------------------------------------------------- network faults

@@ -1,12 +1,15 @@
 // everest::serve tests: QoS primitives (token bucket, weighted-fair
 // admission queue), the dynamic batcher policy, backend validation, and the
 // end-to-end server — batching byte-identity across dispatcher/batch-size
-// sweeps, tenant fairness, deadline and load shedding, and device failover.
-// Labeled "concurrency" + "serving" so the tsan preset races the dispatcher
-// threads against client submitters.
+// sweeps, tenant fairness, deadline and load shedding, device failover, and
+// the DeviceBackend ring (per-VF breakers, retry onto the next VF, hot-plug).
+// Labeled "concurrency" + "serving" + "resilience" so the tsan preset races
+// the dispatcher threads against client submitters and VF hot-plug.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -1212,4 +1215,280 @@ TEST(Server, ServeMetricsCountEveryRequest) {
   for (const auto &[name, value] : recorder.gauges()) gauges[name] = value;
   ASSERT_EQ(gauges.count("serve.queue_depth"), 1u);
   EXPECT_EQ(gauges["serve.queue_depth"], 0.0);
+}
+
+// ------------------------------------------------------------- device ring
+
+namespace {
+
+/// An injector that hangs every launch it is attached to.
+ep::FaultInjector hang_every_launch() {
+  ep::FaultPlan plan;
+  plan.kernel_timeout_rate = 1.0;
+  return ep::FaultInjector(3, plan);
+}
+
+std::unique_ptr<es::DeviceBackend> make_ring(
+    std::vector<ep::Device *> devices) {
+  for (ep::Device *device : devices) {
+    EXPECT_TRUE(device->load_kernel("serve_pipe", tiny_kernel("serve_pipe",
+                                                              3'000))
+                    .is_ok());
+  }
+  auto compute = es::DfgBackend::create(pipe_graph(), pipe_registry());
+  EXPECT_TRUE(compute.has_value());
+  // A clean launch takes 10 us at 300 MHz; a hung one needs 80 us.
+  auto ring = es::DeviceBackend::create("ring", std::move(devices),
+                                        "serve_pipe", std::move(*compute),
+                                        /*launch_deadline_us=*/20.0);
+  EXPECT_TRUE(ring.has_value());
+  return std::move(*ring);
+}
+
+std::map<std::string, er::Stream> one_record(double x) {
+  return {{"xs", er::Stream{er::Record{x}}}};
+}
+
+}  // namespace
+
+// Regression: each VF breaker used to be checked against its own device's
+// clock, which only moves when that device launches — so a healed VF whose
+// breaker had opened never got a launch again. The ring clock keeps moving
+// while a VF is skipped, so its cooldown ends.
+TEST(DeviceRing, HealedDeviceGetsLaunchesAgainAfterItsCooldown) {
+  ep::FaultInjector hang = hang_every_launch();
+  ep::Device a(ep::alveo_u55c());
+  ep::Device b(ep::alveo_u55c());
+  a.attach_fault_injector(&hang);
+  auto ring = make_ring({&a, &b});
+
+  // Round-robin: A, B, A, B, A — A's third hang opens its breaker.
+  for (int i = 0; i < 5; ++i) {
+    auto result = ring->run_batch(one_record(i));
+    if (i % 2 == 0) {
+      ASSERT_FALSE(result.has_value());
+      EXPECT_EQ(result.error().code_enum(),
+                esup::ErrorCode::DeadlineExceeded);
+    } else {
+      ASSERT_TRUE(result.has_value()) << result.error().message;
+    }
+  }
+  ASSERT_EQ(a.stats().kernel_launches, 3);
+  const double opened_at = std::max(a.now_us(), b.now_us());
+  a.attach_fault_injector(nullptr);  // healed
+
+  const double open_us = everest::resil::CircuitBreaker::Options{}.open_us;
+  for (int i = 0; i < 300; ++i) {
+    const bool cooled = std::max(a.now_us(), b.now_us()) >= opened_at + open_us;
+    const std::int64_t before = a.stats().kernel_launches;
+    auto result = ring->run_batch(one_record(i));
+    ASSERT_TRUE(result.has_value()) << result.error().message;
+    if (!cooled) {
+      EXPECT_EQ(a.stats().kernel_launches, before)
+          << "the open breaker must skip A until the ring clock passes it";
+    }
+  }
+  // B alone needs ~100 launches to carry the ring clock past the cooldown;
+  // after that A takes every other launch again.
+  EXPECT_GT(a.stats().kernel_launches, 3 + 50);
+}
+
+TEST(DeviceRing, OneDeviceRingProbesWhenItsBreakerIsOpen) {
+  ep::FaultInjector hang = hang_every_launch();
+  ep::Device device(ep::alveo_u55c());
+  device.attach_fault_injector(&hang);
+  auto ring = make_ring({&device});
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(ring->run_batch(one_record(i)).has_value());
+  }
+  // The breaker is open and its cooldown has not elapsed on the ring clock;
+  // the only device is probed rather than the batch refused.
+  device.attach_fault_injector(nullptr);
+  auto result = ring->run_batch(one_record(3));
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+  EXPECT_EQ(result->at("biased"), er::Stream{er::Record{7.0}});
+  EXPECT_EQ(device.stats().kernel_launches, 4);
+}
+
+TEST(DeviceRing, RemoveReplicaRefusesToEmptyTheRing) {
+  ep::Device a(ep::alveo_u55c());
+  ep::Device b(ep::alveo_u55c());
+  auto ring = make_ring({&a});
+  EXPECT_FALSE(ring->remove_replica().has_value());
+  ASSERT_TRUE(b.load_kernel("serve_pipe", tiny_kernel("serve_pipe", 3'000))
+                  .is_ok());
+  ring->add_replica(&b);
+  EXPECT_EQ(ring->replicas(), 2u);
+  auto removed = ring->remove_replica();
+  ASSERT_TRUE(removed.has_value());
+  EXPECT_EQ(*removed, &b);
+  EXPECT_EQ(ring->replicas(), 1u);
+  auto compute = es::DfgBackend::create(pipe_graph(), pipe_registry());
+  ASSERT_TRUE(compute.has_value());
+  EXPECT_FALSE(es::DeviceBackend::create("empty", {}, "serve_pipe",
+                                         std::move(*compute))
+                   .has_value());
+}
+
+// The Server's retry is the ring's failover: a batch whose launch hangs on
+// one VF is retried on the next VF, not degraded to the host.
+TEST(DeviceRing, ServerRetryFailsOverToTheNextVf) {
+  ep::FaultInjector hang = hang_every_launch();
+  ep::Device hung(ep::alveo_u55c());
+  ep::Device clean(ep::alveo_u55c());
+  hung.attach_fault_injector(&hang);
+  std::vector<std::unique_ptr<es::Backend>> backends;
+  backends.push_back(make_ring({&hung, &clean}));
+  auto host = es::DfgBackend::create(pipe_graph(), pipe_registry());
+  ASSERT_TRUE(host.has_value());
+  backends.push_back(std::move(*host));
+  es::ServerOptions options;
+  options.dispatchers = 1;  // one cursor owner: attempt 2 is the other VF
+  options.batch.max_batch = 4;
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff_us = 1.0;
+  auto server = es::Server::create(std::move(backends), options);
+  ASSERT_TRUE(server.has_value());
+
+  constexpr int kRequests = 64;
+  std::vector<std::future<es::Response>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    es::Request req;
+    req.inputs["xs"] = {static_cast<double>(i), 0.5 * i};
+    auto submitted = (*server)->submit(std::move(req));
+    ASSERT_TRUE(submitted.has_value());
+    futures.push_back(std::move(*submitted));
+  }
+  (*server)->start();
+  (*server)->drain();
+  auto graph = pipe_graph();
+  auto registry = pipe_registry();
+  for (int i = 0; i < kRequests; ++i) {
+    es::Response response = futures[static_cast<std::size_t>(i)].get();
+    ASSERT_TRUE(response.status.is_ok()) << response.status.message();
+    EXPECT_EQ(response.backend, "ring");
+    EXPECT_FALSE(response.degraded);
+    auto reference = er::execute_dfg(
+        *graph, *registry,
+        {{"xs", er::Stream{er::Record{static_cast<double>(i), 0.5 * i}}}});
+    ASSERT_TRUE(reference.has_value());
+    EXPECT_EQ(response.outputs.at("biased"), reference->at("biased").at(0));
+  }
+  EXPECT_GT(hung.stats().kernel_launches, 0);
+  EXPECT_EQ((*server)->stats().failovers, 0);
+  (*server)->stop();
+}
+
+TEST(DeviceRing, AllHungRingWithoutHostFailsWithDeadlineExceeded) {
+  ep::FaultInjector hang = hang_every_launch();
+  ep::Device a(ep::alveo_u55c());
+  ep::Device b(ep::alveo_u55c());
+  a.attach_fault_injector(&hang);
+  b.attach_fault_injector(&hang);
+  std::vector<std::unique_ptr<es::Backend>> backends;
+  backends.push_back(make_ring({&a, &b}));
+  es::ServerOptions options;
+  options.dispatchers = 1;
+  options.batch.max_batch = 4;
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff_us = 1.0;
+  auto server = es::Server::create(std::move(backends), options);
+  ASSERT_TRUE(server.has_value());
+  std::vector<std::future<es::Response>> futures;
+  for (int i = 0; i < 4; ++i) {  // one batch
+    es::Request req;
+    req.inputs["xs"] = {static_cast<double>(i)};
+    auto submitted = (*server)->submit(std::move(req));
+    ASSERT_TRUE(submitted.has_value());
+    futures.push_back(std::move(*submitted));
+  }
+  (*server)->start();
+  (*server)->drain();
+  for (auto &future : futures) {
+    es::Response response = future.get();
+    ASSERT_FALSE(response.status.is_ok());
+    EXPECT_EQ(response.status.error().code_enum(),
+              esup::ErrorCode::DeadlineExceeded);
+  }
+  EXPECT_EQ(a.stats().kernel_launches, 1);
+  EXPECT_EQ(b.stats().kernel_launches, 1);
+  (*server)->stop();
+}
+
+// VF hot-plug against live traffic: a device handed back by remove_replica
+// is destroyed at once, so the ring must never launch on it afterwards —
+// removal serializes with in-flight launches (asan/tsan catch a violation).
+TEST(DeviceRing, HotPlugRacesSubmittersAndDispatchers) {
+  ep::Device base(ep::alveo_u55c());
+  std::vector<std::unique_ptr<es::Backend>> backends;
+  auto ring_owned = make_ring({&base});
+  es::DeviceBackend *ring = ring_owned.get();
+  backends.push_back(std::move(ring_owned));
+  auto host = es::DfgBackend::create(pipe_graph(), pipe_registry());
+  ASSERT_TRUE(host.has_value());
+  backends.push_back(std::move(*host));
+  es::ServerOptions options;
+  options.dispatchers = 2;
+  options.batch.max_batch = 4;
+  options.batch.max_wait_us = 50.0;
+  options.queue_bound = 1 << 14;
+  auto server = es::Server::create(std::move(backends), options);
+  ASSERT_TRUE(server.has_value());
+  (*server)->start();
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 200;
+  std::atomic<int> submitters_left{kThreads};
+  std::thread plugger([&] {
+    std::vector<std::unique_ptr<ep::Device>> plugged;
+    int cycles = 0;
+    while (submitters_left.load() > 0 || cycles < 20) {
+      ++cycles;
+      auto device = std::make_unique<ep::Device>(ep::alveo_u55c());
+      ASSERT_TRUE(
+          device->load_kernel("serve_pipe", tiny_kernel("serve_pipe", 3'000))
+              .is_ok());
+      ring->add_replica(device.get());
+      plugged.push_back(std::move(device));
+      if (plugged.size() > 3 || cycles % 2 == 0) {
+        auto removed = ring->remove_replica();
+        ASSERT_TRUE(removed.has_value());
+        ASSERT_EQ(*removed, plugged.back().get());
+        plugged.pop_back();  // destroyed as soon as it leaves the ring
+      }
+    }
+    while (!plugged.empty()) {
+      auto removed = ring->remove_replica();
+      ASSERT_TRUE(removed.has_value());
+      plugged.pop_back();
+    }
+  });
+  std::vector<std::thread> clients;
+  std::vector<std::vector<std::future<es::Response>>> futures(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        es::Request req;
+        req.tenant = "client-" + std::to_string(t);
+        req.inputs["xs"] = {static_cast<double>(i)};
+        auto submitted = (*server)->submit(std::move(req));
+        ASSERT_TRUE(submitted.has_value());
+        futures[static_cast<std::size_t>(t)].push_back(std::move(*submitted));
+      }
+      submitters_left.fetch_sub(1);
+    });
+  }
+  for (auto &c : clients) c.join();
+  (*server)->drain();
+  plugger.join();
+  EXPECT_EQ(ring->replicas(), 1u);
+  for (auto &per_thread : futures) {
+    for (auto &future : per_thread) {
+      es::Response response = future.get();
+      ASSERT_TRUE(response.status.is_ok()) << response.status.message();
+      EXPECT_EQ(response.backend, "ring");
+    }
+  }
+  EXPECT_GT(base.stats().kernel_launches, 0);
+  (*server)->stop();
 }
