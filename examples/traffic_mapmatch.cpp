@@ -37,7 +37,10 @@ int main() {
   // 2. Execute with 1 and 8 workers; ConDRust semantics guarantee identical
   // results.
   er::NodeRegistry registry;
-  tr::register_mapmatch_operators(registry, net);
+  if (auto status = tr::register_mapmatch_operators(registry, net); !status) {
+    std::fprintf(stderr, "operators: %s\n", status.message().c_str());
+    return 1;
+  }
   std::map<std::string, er::Stream> inputs;
   inputs["points"] = tr::trace_to_stream(trace);
 

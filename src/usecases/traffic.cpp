@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 
 namespace everest::usecases::traffic {
 
@@ -105,28 +106,179 @@ FcdTrace make_trace(const RoadNetwork &net, int num_points, double noise_km,
 
 namespace {
 
-struct Candidate {
-  int segment = -1;
-  double distance_km = 0.0;
-};
+/// The candidate order (see SegmentIndex): distance, then id, NaN last.
+bool candidate_before(const Candidate &a, const Candidate &b) {
+  const bool a_nan = std::isnan(a.distance_km);
+  const bool b_nan = std::isnan(b.distance_km);
+  if (a_nan != b_nan) return b_nan;
+  if (!a_nan && a.distance_km != b.distance_km)
+    return a.distance_km < b.distance_km;
+  return a.segment < b.segment;
+}
 
-std::vector<Candidate> find_candidates(const RoadNetwork &net,
-                                       const GpsPoint &p, int max_candidates) {
-  std::vector<Candidate> all;
-  all.reserve(net.segments.size());
-  for (const auto &s : net.segments)
-    all.push_back({s.id, s.distance_km(p.x, p.y)});
-  std::partial_sort(
-      all.begin(),
-      all.begin() + std::min<std::ptrdiff_t>(max_candidates,
-                                             static_cast<std::ptrdiff_t>(all.size())),
-      all.end(),
-      [](const Candidate &a, const Candidate &b) {
-        return a.distance_km < b.distance_km;
-      });
-  all.resize(std::min<std::size_t>(static_cast<std::size_t>(max_candidates),
-                                   all.size()));
-  return all;
+/// The ring walk stops once the next ring's lower bound exceeds the k-th
+/// distance by this fraction of the coordinates' magnitude: far above the
+/// few ulps by which a computed distance or cell boundary can be off. A
+/// larger margin only costs extra rings, never exactness.
+constexpr double kPruneMargin = 1e-9;
+
+/// The cell of scaled coordinate t among n. Clamped in double first, so NaN,
+/// infinities and huge values never reach the conversion to int.
+int cell_of(double t, int n) {
+  if (!(t >= 0.0)) return 0;  // negative or NaN
+  if (t >= static_cast<double>(n - 1)) return n - 1;
+  return static_cast<int>(t);
+}
+
+}  // namespace
+
+SegmentIndex::SegmentIndex(std::vector<Segment> segments)
+    : segments_(std::move(segments)) {
+  start_.assign(2, 0);
+  if (segments_.empty()) return;
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  double x1 = inf, y1 = inf, x2 = -inf, y2 = -inf;
+  for (const auto &s : segments_) {
+    x1 = std::min({x1, s.x1, s.x2});
+    y1 = std::min({y1, s.y1, s.y2});
+    x2 = std::max({x2, s.x1, s.x2});
+    y2 = std::max({y2, s.y1, s.y2});
+  }
+  x0_ = x1;
+  y0_ = y1;
+  const double w = x2 - x1, h = y2 - y1;
+  if (std::isfinite(w) && std::isfinite(h)) {
+    // About one cell per segment, and at most n + 1 cells a side, so a thin
+    // network cannot blow up the count (at most 3n + 1 cells in all). A
+    // network without extent keeps the single cell.
+    const int n = static_cast<int>(std::min<std::size_t>(
+        segments_.size(), std::numeric_limits<int>::max() - 1));
+    const double cell =
+        std::max(std::sqrt(w) * std::sqrt(h / n), std::max(w, h) / n);
+    if (cell > 0.0) {
+      cell_ = cell;
+      nx_ = 1 + cell_of(w / cell_, n + 1);
+      ny_ = 1 + cell_of(h / cell_, n + 1);
+    }
+  }
+  scale_ = std::max({std::abs(x1), std::abs(y1), std::abs(x2), std::abs(y2),
+                     cell_});
+
+  // Two passes over the segments' cell ranges: count into start_[c + 1],
+  // then fill using start_[c] as cell c's cursor, which leaves it at cell c's
+  // end; shifting start_ up one slot turns those ends back into starts.
+  auto for_each_cell = [&](const Segment &s, auto &&fn) {
+    const int i0 = cell_of((std::min(s.x1, s.x2) - x0_) / cell_, nx_);
+    const int i1 = cell_of((std::max(s.x1, s.x2) - x0_) / cell_, nx_);
+    const int j0 = cell_of((std::min(s.y1, s.y2) - y0_) / cell_, ny_);
+    const int j1 = cell_of((std::max(s.y1, s.y2) - y0_) / cell_, ny_);
+    for (int j = j0; j <= j1; ++j)
+      for (int i = i0; i <= i1; ++i)
+        fn(static_cast<std::size_t>(j) * static_cast<std::size_t>(nx_) +
+           static_cast<std::size_t>(i));
+  };
+  const std::size_t cells =
+      static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
+  start_.assign(cells + 1, 0);
+  for (const auto &s : segments_)
+    for_each_cell(s, [&](std::size_t c) { ++start_[c + 1]; });
+  for (std::size_t c = 1; c <= cells; ++c) start_[c] += start_[c - 1];
+  items_.resize(start_[cells]);
+  for (std::size_t pos = 0; pos < segments_.size(); ++pos)
+    for_each_cell(segments_[pos], [&](std::size_t c) {
+      items_[start_[c]++] = static_cast<std::uint32_t>(pos);
+    });
+  for (std::size_t c = cells - 1; c > 0; --c) start_[c] = start_[c - 1];
+  start_[0] = 0;
+}
+
+std::vector<Candidate> SegmentIndex::nearest(double px, double py,
+                                             int k) const {
+  std::vector<Candidate> best;  // in candidate order, at most `want`
+  if (k < 1 || segments_.empty() || !std::isfinite(px) || !std::isfinite(py))
+    return best;
+  const std::size_t want =
+      std::min(static_cast<std::size_t>(k), segments_.size());
+  best.reserve(want);
+
+  auto visit = [&](int i, int j) {
+    const std::size_t c =
+        static_cast<std::size_t>(j) * static_cast<std::size_t>(nx_) +
+        static_cast<std::size_t>(i);
+    for (std::size_t it = start_[c]; it < start_[c + 1]; ++it) {
+      const Segment &s = segments_[items_[it]];
+      const Candidate cand{s.id, s.distance_km(px, py)};
+      if (best.size() == want && !candidate_before(cand, best.back())) continue;
+      // A segment listed in several visited cells is already held.
+      if (std::any_of(best.begin(), best.end(), [&](const Candidate &b) {
+            return b.segment == cand.segment;
+          }))
+        continue;
+      const auto at = std::upper_bound(best.begin(), best.end(), cand,
+                                       candidate_before) -
+                      best.begin();
+      if (best.size() == want) best.pop_back();
+      best.insert(best.begin() + at, cand);
+    }
+  };
+
+  const int cx = cell_of((px - x0_) / cell_, nx_);
+  const int cy = cell_of((py - y0_) / cell_, ny_);
+  const double margin =
+      kPruneMargin * (scale_ + std::abs(px) + std::abs(py));
+  visit(cx, cy);
+  for (int r = 1;; ++r) {
+    // Rings < r cover columns [lo_i, hi_i] and rows [lo_j, hi_j]. A segment
+    // not yet seen lies wholly beyond one of that block's sides that falls
+    // inside the grid, so its distance is at least the point's distance to
+    // the nearest such side.
+    const int lo_i = cx - r + 1, hi_i = cx + r - 1;
+    const int lo_j = cy - r + 1, hi_j = cy + r - 1;
+    double bound = std::numeric_limits<double>::infinity();
+    bool covered = true;
+    if (lo_i > 0) {
+      bound = std::min(bound, px - (x0_ + lo_i * cell_));
+      covered = false;
+    }
+    if (hi_i < nx_ - 1) {
+      bound = std::min(bound, x0_ + (hi_i + 1) * cell_ - px);
+      covered = false;
+    }
+    if (lo_j > 0) {
+      bound = std::min(bound, py - (y0_ + lo_j * cell_));
+      covered = false;
+    }
+    if (hi_j < ny_ - 1) {
+      bound = std::min(bound, y0_ + (hi_j + 1) * cell_ - py);
+      covered = false;
+    }
+    if (covered) break;
+    if (best.size() == want && bound - best.back().distance_km > margin) break;
+
+    for (int j = std::max(cy - r, 0); j <= std::min(cy + r, ny_ - 1); ++j) {
+      if (j == cy - r || j == cy + r) {
+        for (int i = std::max(cx - r, 0); i <= std::min(cx + r, nx_ - 1); ++i)
+          visit(i, j);
+      } else {
+        if (cx - r >= 0) visit(cx - r, j);
+        if (cx + r < nx_) visit(cx + r, j);
+      }
+    }
+  }
+  return best;
+}
+
+namespace {
+
+/// Matching looks segments up by id, so ids must be their positions.
+support::Status check_segment_ids(const RoadNetwork &net, const char *who) {
+  for (std::size_t i = 0; i < net.segments.size(); ++i) {
+    if (net.segments[i].id != static_cast<int>(i))
+      return Error::invalid_argument(std::string(who) + ": segment " +
+                                     std::to_string(i) + " has id " +
+                                     std::to_string(net.segments[i].id));
+  }
+  return support::Status::ok();
 }
 
 double emission_logp(double distance_km, double sigma) {
@@ -148,18 +300,29 @@ double transition_logp(const Segment &a, const Segment &b, double beta) {
 Expected<std::vector<int>> map_match(const RoadNetwork &net,
                                      const std::vector<GpsPoint> &points,
                                      const MapMatchConfig &config) {
-  if (points.empty()) return Error::make("map_match: empty trace");
+  if (points.empty()) return Error::invalid_argument("map_match: empty trace");
   if (config.max_candidates < 1)
-    return Error::make("map_match: need at least one candidate");
+    return Error::invalid_argument("map_match: need at least one candidate");
+  if (net.segments.empty())
+    return Error::invalid_argument("map_match: empty road network");
+  if (auto ids = check_segment_ids(net, "map_match"); !ids) return ids.error();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!std::isfinite(points[i].x) || !std::isfinite(points[i].y))
+      return Error::invalid_argument("map_match: point " + std::to_string(i) +
+                                     " is not finite");
+  }
 
+  const SegmentIndex index(net.segments);
   std::vector<std::vector<Candidate>> cands(points.size());
   std::vector<std::vector<double>> logp(points.size());
   std::vector<std::vector<int>> backptr(points.size());
 
   for (std::size_t i = 0; i < points.size(); ++i) {
-    cands[i] = find_candidates(net, points[i], config.max_candidates);
+    cands[i] = index.nearest(points[i].x, points[i].y, config.max_candidates);
     logp[i].assign(cands[i].size(), -std::numeric_limits<double>::infinity());
-    backptr[i].assign(cands[i].size(), -1);
+    // 0, not -1: a point so far away that every score is -inf still
+    // backtracks through a valid candidate.
+    backptr[i].assign(cands[i].size(), 0);
   }
 
   for (std::size_t c = 0; c < cands[0].size(); ++c)
@@ -229,18 +392,24 @@ runtime::Stream trace_to_stream(const FcdTrace &trace) {
   return s;
 }
 
-void register_mapmatch_operators(runtime::NodeRegistry &registry,
-                                 const RoadNetwork &net,
-                                 const MapMatchConfig &config) {
+support::Status register_mapmatch_operators(runtime::NodeRegistry &registry,
+                                            const RoadNetwork &net,
+                                            const MapMatchConfig &config) {
   const int k = config.max_candidates;
+  if (k < 1)
+    return Error::invalid_argument(
+        "register_mapmatch_operators: need at least one candidate");
+  if (auto ids = check_segment_ids(net, "register_mapmatch_operators"); !ids)
+    return ids;
   const double sigma = config.sigma_gps_km;
   const double beta = config.beta_transition;
-  // Copy the network into the closures (streams outlive this call).
-  const RoadNetwork net_copy = net;
+  // One read-only copy of the network and its index, shared by the closures
+  // (streams outlive this call) and by every thread that runs them.
+  auto index = std::make_shared<const SegmentIndex>(net.segments);
 
-  registry.register_node("candidates", [net_copy, k](const auto &in) {
-    GpsPoint p{(*in[0])[0], (*in[0])[1], (*in[0])[2]};
-    auto cands = find_candidates(net_copy, p, k);
+  registry.register_node("candidates", [index, k](const auto &in) {
+    const runtime::Record &point = *in[0];
+    auto cands = index->nearest(point[0], point[1], k);
     runtime::Record rec(static_cast<std::size_t>(k) * 2, -1.0);
     for (std::size_t c = 0; c < cands.size(); ++c) {
       rec[c * 2] = cands[c].segment;
@@ -281,7 +450,7 @@ void register_mapmatch_operators(runtime::NodeRegistry &registry,
   runtime::Record initial(static_cast<std::size_t>(k) * 2, -1.0);
   registry.register_fold(
       "viterbi_step", initial,
-      [net_copy, k, beta](const runtime::Record &state, const auto &in) {
+      [index, k, beta](const runtime::Record &state, const auto &in) {
         const runtime::Record &scored = *in[0];
         runtime::Record next(static_cast<std::size_t>(k) * 2, -1.0);
         bool first = state[0] < 0;
@@ -298,8 +467,8 @@ void register_mapmatch_operators(runtime::NodeRegistry &registry,
               if (pseg < 0) break;
               double plogp = state[static_cast<std::size_t>(p) * 2 + 1];
               double trans = transition_logp(
-                  net_copy.segments[static_cast<std::size_t>(pseg)],
-                  net_copy.segments[static_cast<std::size_t>(seg)], beta);
+                  index->segments()[static_cast<std::size_t>(pseg)],
+                  index->segments()[static_cast<std::size_t>(seg)], beta);
               best = std::max(best, plogp + trans + emit);
             }
           }
@@ -323,6 +492,7 @@ void register_mapmatch_operators(runtime::NodeRegistry &registry,
     }
     return runtime::Record{best_seg};
   });
+  return support::Status::ok();
 }
 
 // ---------------------------------------------------------------------- GMM

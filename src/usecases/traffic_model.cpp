@@ -89,9 +89,9 @@ PredictionCoefficients fit_prediction(const std::vector<double> &speed_96) {
 namespace {
 
 /// Segment lookup by directed endpoints for Manhattan routing.
-class SegmentIndex {
+class EndpointIndex {
 public:
-  explicit SegmentIndex(const RoadNetwork &net) {
+  explicit EndpointIndex(const RoadNetwork &net) {
     for (const auto &s : net.segments)
       by_coords_[{s.x1, s.y1, s.x2, s.y2}] = s.id;
   }
@@ -124,7 +124,7 @@ Expected<TrafficModel> build_model(const RoadNetwork &net, const OdMatrix &odm,
     s.intensity.assign(kIntervals, 0.0);
   }
 
-  SegmentIndex index(net);
+  EndpointIndex index(net);
 
   // Route every OD pair along its Manhattan path (x first, then y) and add
   // its per-interval demand to every traversed segment.

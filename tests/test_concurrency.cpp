@@ -1,7 +1,8 @@
 // Concurrency tests (run under the tsan preset, CTest label "concurrency"):
 // the support::ThreadPool itself, the determinism of parallel Basecamp
 // compilation — compile_many(jobs=N) must be byte-identical to the serial
-// path for any N — and a multi-threaded stress of the compile cache.
+// path for any N — a multi-threaded stress of the compile cache, and
+// concurrent map matching over one shared segment index.
 
 #include <gtest/gtest.h>
 
@@ -10,17 +11,22 @@
 #include <thread>
 #include <vector>
 
+#include "frontend/condrust_parser.hpp"
+#include "runtime/dfg_executor.hpp"
 #include "sdk/basecamp.hpp"
 #include "sdk/compile_cache.hpp"
 #include "support/thread_pool.hpp"
 #include "transforms/loop_eval.hpp"
 #include "usecases/rrtmg.hpp"
+#include "usecases/traffic.hpp"
 
 namespace es = everest::sdk;
 namespace esup = everest::support;
 namespace rr = everest::usecases::rrtmg;
 namespace en = everest::numerics;
 namespace et = everest::transforms;
+namespace tr = everest::usecases::traffic;
+namespace er = everest::runtime;
 
 // ---------------------------------------------------------------------------
 // ThreadPool
@@ -369,4 +375,39 @@ TEST(CompileCacheStressTest, EightThreadsHammeringOneCache) {
   EXPECT_GT(cache.evictions(), 0);
   // Every lookup was either a hit or a miss, never lost.
   EXPECT_EQ(cache.hits() + cache.misses(), 8 * 200);
+}
+
+// ---------------------------------------------------------------------------
+// Map matching: every thread and every dfg worker queries the one read-only
+// SegmentIndex that register_mapmatch_operators shares between its closures.
+
+TEST(MapMatchConcurrencyTest, EightThreadsShareOneIndex) {
+  auto net = tr::make_grid_network(16, 1.0, 5);
+  auto trace = tr::make_trace(net, 300, 0.04, 11);
+  auto module = everest::frontend::parse_condrust(tr::mapmatch_condrust_source());
+  ASSERT_TRUE(module.has_value()) << module.error().message;
+  er::NodeRegistry registry;
+  ASSERT_TRUE(tr::register_mapmatch_operators(registry, net));
+  const std::map<std::string, er::Stream> inputs{
+      {"points", tr::trace_to_stream(trace)}};
+
+  auto serial = er::execute_dfg(**module, registry, inputs, 1);
+  ASSERT_TRUE(serial.has_value()) << serial.error().message;
+
+  std::vector<std::map<std::string, er::Stream>> results(8);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      auto out = er::execute_dfg(**module, registry, inputs, 1 + t % 4);
+      if (out) {
+        results[static_cast<std::size_t>(t)] = std::move(*out);
+      } else {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto &th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (const auto &out : results) EXPECT_EQ(out, *serial);
 }

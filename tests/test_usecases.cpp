@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "frontend/condrust_parser.hpp"
 #include "hls/scheduler.hpp"
@@ -77,7 +82,7 @@ TEST(Traffic, DfgPipelineMatchesAndIsDeterministic) {
   ASSERT_TRUE(m.has_value()) << m.error().message;
 
   er::NodeRegistry registry;
-  tr::register_mapmatch_operators(registry, net);
+  ASSERT_TRUE(tr::register_mapmatch_operators(registry, net));
   std::map<std::string, er::Stream> inputs;
   inputs["points"] = tr::trace_to_stream(trace);
 
@@ -92,6 +97,226 @@ TEST(Traffic, DfgPipelineMatchesAndIsDeterministic) {
   for (const auto &rec : r1->at("best"))
     matched.push_back(static_cast<int>(rec[0]));
   EXPECT_GT(tr::matching_accuracy(matched, trace.true_segments), 0.6);
+}
+
+// The oracle the index must reproduce: every segment's distance, sorted by
+// (distance, id). The k nearest are its first k entries.
+std::vector<tr::Candidate> brute_force_ranking(
+    const std::vector<tr::Segment> &segments, double px, double py) {
+  std::vector<tr::Candidate> all;
+  for (const auto &s : segments) all.push_back({s.id, s.distance_km(px, py)});
+  std::sort(all.begin(), all.end(),
+            [](const tr::Candidate &a, const tr::Candidate &b) {
+              if (a.distance_km != b.distance_km)
+                return a.distance_km < b.distance_km;
+              return a.segment < b.segment;
+            });
+  return all;
+}
+
+// Compares ids and distance bits; returns the number of mismatching queries.
+int count_index_mismatches(const std::vector<tr::Segment> &segments,
+                           const std::vector<std::pair<double, double>> &points,
+                           const std::vector<int> &ks) {
+  const tr::SegmentIndex index(segments);
+  int mismatches = 0;
+  for (const auto &[px, py] : points) {
+    const auto ranking = brute_force_ranking(segments, px, py);
+    for (int k : ks) {
+      const auto got = index.nearest(px, py, k);
+      const std::vector<tr::Candidate> want(
+          ranking.begin(),
+          ranking.begin() + std::min<std::ptrdiff_t>(
+                                k, static_cast<std::ptrdiff_t>(ranking.size())));
+      bool same = got.size() == want.size();
+      for (std::size_t i = 0; same && i < got.size(); ++i) {
+        same = got[i].segment == want[i].segment &&
+               std::bit_cast<std::uint64_t>(got[i].distance_km) ==
+                   std::bit_cast<std::uint64_t>(want[i].distance_km);
+      }
+      if (!same) {
+        ADD_FAILURE() << "index differs from the scan at (" << px << ", "
+                      << py << "), k=" << k;
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+// Points on grid lines and intersections, random points around the
+// network, and points far outside its bounding box.
+std::vector<std::pair<double, double>> probe_points(double lo, double hi,
+                                                    double step,
+                                                    std::uint64_t seed) {
+  std::vector<std::pair<double, double>> pts;
+  everest::support::Pcg32 rng(seed);
+  for (double x = lo; x <= hi + 1e-9; x += step) {
+    for (double y = lo; y <= hi + 1e-9; y += step) {
+      pts.emplace_back(x, y);                             // intersection
+      pts.emplace_back(x, rng.uniform(lo - 0.5, hi + 0.5));  // on a line
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    pts.emplace_back(rng.uniform(lo - 1.0, hi + 1.0),
+                     rng.uniform(lo - 1.0, hi + 1.0));
+  }
+  for (double far : {25.0, 1e3, 1e6, 1e300}) {
+    pts.emplace_back(hi + far, rng.uniform(lo, hi));
+    pts.emplace_back(lo - far, lo - far);
+    pts.emplace_back(rng.uniform(lo, hi), -far);
+    pts.emplace_back(far, -far);
+  }
+  return pts;
+}
+
+TEST(Traffic, SegmentIndexMatchesBruteForce) {
+  // Seeded grids, including ones whose extent is not a whole number of
+  // index cells, with k up to beyond the segment count. The index keeps its
+  // best list sorted by insertion, so a query costs O(k) per segment it
+  // visits; the 40 x 40 grid (3,280 segments) stops at k = 50.
+  for (int n : {1, 3, 8, 40}) {
+    for (double cell_km : {1.0, 0.37}) {
+      auto net = tr::make_grid_network(n, cell_km,
+                                       static_cast<std::uint64_t>(n) + 17);
+      const int segs = static_cast<int>(net.segments.size());
+      auto pts = probe_points(0.0, n * cell_km, cell_km,
+                              static_cast<std::uint64_t>(n) * 31);
+      std::vector<int> ks{1, 2, 6, segs, segs + 3};
+      if (n == 40) {
+        ks = {1, 2, 6, 50};
+        // Keep the full scan cheap: every 8th grid probe, plus the random
+        // and far-away points at the end.
+        std::vector<std::pair<double, double>> some;
+        for (std::size_t i = 0; i < pts.size(); ++i)
+          if (i % 8 == 0 || i + 216 >= pts.size()) some.push_back(pts[i]);
+        pts = std::move(some);
+      }
+      EXPECT_EQ(count_index_mismatches(net.segments, pts, ks), 0)
+          << "grid n=" << n << " cell_km=" << cell_km;
+    }
+  }
+
+  // A hand-built network: diagonals, zero-length segments, duplicates of
+  // the same geometry under other ids, one long diagonal across the rest,
+  // and negative coordinates.
+  std::vector<tr::Segment> odd;
+  auto add = [&](double x1, double y1, double x2, double y2) {
+    tr::Segment s;
+    s.id = static_cast<int>(odd.size());
+    s.x1 = x1;
+    s.y1 = y1;
+    s.x2 = x2;
+    s.y2 = y2;
+    odd.push_back(s);
+  };
+  add(0, 0, 1, 1);
+  add(1, 1, 0, 0);      // reversed duplicate
+  add(0, 0, 1, 1);      // exact duplicate
+  add(0.5, 0.5, 0.5, 0.5);  // zero length, on the diagonal above
+  add(0.5, 0.5, 0.5, 0.5);
+  add(-2, 3, 4, -3);    // long diagonal
+  add(-2, -2, -2, 5);
+  add(3, 2, 3.25, 2.1);
+  add(3.25, 2.1, 3, 2);
+  add(-1.5, 4.5, -1.5, 4.5);
+  everest::support::Pcg32 rng(7);
+  for (int i = 0; i < 20; ++i) {
+    double x = rng.uniform(-2.0, 4.0), y = rng.uniform(-3.0, 5.0);
+    add(x, y, x + rng.uniform(-0.7, 0.7), y + rng.uniform(-0.7, 0.7));
+  }
+  const int segs = static_cast<int>(odd.size());
+  EXPECT_EQ(count_index_mismatches(odd, probe_points(-3.0, 5.0, 0.5, 5),
+                                   {1, 3, 6, segs, segs + 1}),
+            0);
+
+  // An empty network has no candidates; neither has k < 1.
+  const tr::SegmentIndex empty({});
+  EXPECT_TRUE(empty.nearest(0.0, 0.0, 6).empty());
+  const tr::SegmentIndex index(odd);
+  EXPECT_TRUE(index.nearest(0.5, 0.5, 0).empty());
+  EXPECT_TRUE(index.nearest(0.5, 0.5, INT_MIN).empty());
+}
+
+TEST(Traffic, CandidateTiesAreOrderedById) {
+  // The four segments meeting at an interior intersection tie exactly.
+  auto net = tr::make_grid_network(4, 1.0, 3);
+  const tr::SegmentIndex index(net.segments);
+  auto cands = index.nearest(2.0, 2.0, 4);
+  ASSERT_EQ(cands.size(), 4u);
+  for (std::size_t i = 1; i < cands.size(); ++i) {
+    EXPECT_EQ(cands[i].distance_km, 0.0);
+    EXPECT_LT(cands[i - 1].segment, cands[i].segment);
+  }
+}
+
+TEST(Traffic, NonFiniteAndHugePointsAreHandled) {
+  auto net = tr::make_grid_network(4, 1.0, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const tr::SegmentIndex index(net.segments);
+  for (auto [x, y] : {std::pair{nan, 0.5}, {0.5, nan}, {inf, 0.5},
+                      {-inf, -inf}}) {
+    EXPECT_TRUE(index.nearest(x, y, 6).empty());
+    auto matched = tr::map_match(net, {{0.5, 0.2, 0.0}, {x, y, 1.0}});
+    ASSERT_FALSE(matched.has_value());
+    EXPECT_EQ(matched.error().code_enum(),
+              everest::support::ErrorCode::InvalidArgument);
+  }
+  EXPECT_FALSE(tr::map_match({}, {{0.5, 0.2, 0.0}}).has_value());
+
+  // Huge but finite coordinates still match, onto real segments.
+  auto far = tr::map_match(
+      net, {{1e300, -1e300, 0.0}, {0.5, 0.2, 1.0}, {1.7e308, 1.7e308, 2.0}});
+  ASSERT_TRUE(far.has_value()) << far.error().message;
+  for (int seg : *far) {
+    EXPECT_GE(seg, 0);
+    EXPECT_LT(seg, static_cast<int>(net.segments.size()));
+  }
+
+  // In the dfg graph a non-finite point has no candidates: an all -1
+  // record, so greedy_pick yields -1; its neighbours still match. A point
+  // 1e300 km away has candidates, but their emission log-probability
+  // underflows to -inf, so greedy_pick's answer is only checked for shape.
+  auto m = everest::frontend::parse_condrust(tr::mapmatch_condrust_source());
+  ASSERT_TRUE(m.has_value());
+  er::NodeRegistry registry;
+  ASSERT_TRUE(tr::register_mapmatch_operators(registry, net));
+  std::map<std::string, er::Stream> inputs;
+  inputs["points"] = {{0.5, 0.2, 0.0}, {nan, 0.3, 1.0}, {inf, -inf, 2.0},
+                      {1e300, 1e300, 3.0}, {0.7, 0.1, 4.0}};
+  auto out = er::execute_dfg(**m, registry, inputs, 1);
+  ASSERT_TRUE(out.has_value()) << out.error().message;
+  const auto &best = out->at("best");
+  ASSERT_EQ(best.size(), 5u);
+  EXPECT_EQ(best[1], er::Record{-1.0});
+  EXPECT_EQ(best[2], er::Record{-1.0});
+  EXPECT_EQ(best[3].size(), 1u);
+  for (std::size_t i : {0u, 4u}) EXPECT_GE(best[i].at(0), 0.0);
+}
+
+TEST(Traffic, RegisterRejectsFewerThanOneCandidate) {
+  auto net = tr::make_grid_network(3, 1.0, 1);
+  for (int k : {0, -1, INT_MIN}) {
+    er::NodeRegistry registry;
+    tr::MapMatchConfig config;
+    config.max_candidates = k;
+    auto status = tr::register_mapmatch_operators(registry, net, config);
+    ASSERT_FALSE(status) << "k=" << k;
+    EXPECT_EQ(status.error().code_enum(),
+              everest::support::ErrorCode::InvalidArgument);
+    EXPECT_EQ(registry.find_node("candidates"), nullptr);
+    EXPECT_EQ(registry.find_fold("viterbi_step"), nullptr);
+  }
+
+  // Operators look segments up by id, so ids must be their positions.
+  net.segments[2].id = 99;
+  er::NodeRegistry registry;
+  auto status = tr::register_mapmatch_operators(registry, net);
+  ASSERT_FALSE(status);
+  EXPECT_EQ(status.error().code_enum(),
+            everest::support::ErrorCode::InvalidArgument);
+  EXPECT_FALSE(tr::map_match(net, {{0.5, 0.5, 0.0}}).has_value());
 }
 
 TEST(Traffic, GmmFitsBimodalSpeeds) {
